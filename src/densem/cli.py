@@ -20,13 +20,24 @@ from .spectral import Tolerance
 _LOG_BASES = {"2": 2.0, "e": math.e}
 
 
+def _tolerance(ctx, param, tol: float | None) -> Tolerance | None:
+    """Click callback: ``--tol`` as a ``Tolerance``, or a usage error (exit 2)."""
+    if tol is None:
+        return None
+    try:
+        return Tolerance(rank_cut=tol)
+    except ValueError as err:
+        raise click.BadParameter(str(err), ctx=ctx, param=param) from None
+
+
 def measure_options(f):
     f = click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")(f)
     f = click.option(
         "--tol",
         type=float,
         default=None,
-        help="Override the relative rank/match tolerance (default 1e-9).",
+        callback=_tolerance,
+        help="Override the relative rank tolerance (default 1e-9).",
     )(f)
     f = click.option(
         "--log-base",
@@ -36,10 +47,6 @@ def measure_options(f):
         help="Logarithm base for divergence-derived scores.",
     )(f)
     return f
-
-
-def _tolerance(tol: float | None) -> Tolerance | None:
-    return Tolerance(rank_cut=tol, match_tol=tol) if tol is not None else None
 
 
 def _load_lexicon(path: str) -> lexicon_io.Lexicon:
@@ -90,12 +97,11 @@ def sim(lexicon_path, word_a, word_b, as_json, tol, log_base):
     """Compare two lexicon words: fidelity, both entailment scores, verdict."""
     lex = _load_lexicon(lexicon_path)
     base = _LOG_BASES[log_base]
-    tolerance = _tolerance(tol)
     a = _lookup(lex, word_a).dm
     b = _lookup(lex, word_b).dm
     try:
-        f = fidelity(a, b, tol=tolerance)
-        verdict = classify(a, b, base=base, tol=tolerance)
+        f = fidelity(a, b, tol=tol)
+        verdict = classify(a, b, base=base, tol=tol)
     except DensemError as err:
         raise click.ClickException(str(err))
     payload = {
@@ -171,7 +177,6 @@ def compose_cmd(lexicon_path, words, target, kronecker, against, as_json, tol, l
     """Compose lexicon words into a sentence operator."""
     lex = _load_lexicon(lexicon_path)
     base = _LOG_BASES[log_base]
-    tolerance = _tolerance(tol)
 
     def build(word_list):
         if kronecker is not None:
@@ -219,9 +224,9 @@ def compose_cmd(lexicon_path, words, target, kronecker, against, as_json, tol, l
         other_words = against.split()
         other = build(other_words)
         try:
-            f = fidelity(sentence, other, tol=tolerance)
-            fwd = representativeness(sentence, other, base=base, tol=tolerance)
-            bwd = representativeness(other, sentence, base=base, tol=tolerance)
+            f = fidelity(sentence, other, tol=tol)
+            fwd = representativeness(sentence, other, base=base, tol=tol)
+            bwd = representativeness(other, sentence, base=base, tol=tol)
         except DensemError as err:
             raise click.ClickException(str(err))
         payload["against"] = {

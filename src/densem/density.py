@@ -37,17 +37,12 @@ class DensityMatrix:
     themselves, and ``normalized()`` returns an explicit unit-trace copy.
     """
 
-    __slots__ = ("_m", "_tol", "_eig")
+    __slots__ = ("_m", "_tol", "_eig", "_source")
 
     def __init__(self, matrix, tol: Tolerance = DEFAULT_TOL):
-        m = spectral.symmetrize(matrix, tol)
-        m.setflags(write=False)
-        self._m = m
-        self._tol = tol
-        self._eig = None
+        self._set(matrix, tol)
         es = self.eigensystem()
-        cut = tol.rank_cut * max(float(es.values[0]), 0.0)
-        if es.values[-1] < -cut:
+        if es.values[-1] < -spectral.rank_cutoff(es.values, tol):
             raise DegenerateInputError(
                 f"matrix is not PSD: smallest eigenvalue {es.values[-1]:.6e}"
             )
@@ -56,12 +51,19 @@ class DensityMatrix:
     def _trusted(cls, matrix, tol: Tolerance = DEFAULT_TOL) -> "DensityMatrix":
         """Wrap a matrix known PSD by construction, skipping the eigencheck."""
         self = object.__new__(cls)
-        m = spectral.symmetrize(matrix, tol)
+        self._set(matrix, tol)
+        return self
+
+    def _set(self, matrix, tol: Tolerance):
+        m = spectral.symmetrize(matrix)
         m.setflags(write=False)
         self._m = m
         self._tol = tol
         self._eig = None
-        return self
+        # (parent, op, x) when this operator is op(parent, x) for a positive
+        # scalar x: its eigensystem is then the parent's with op applied to
+        # the values.
+        self._source = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -84,8 +86,14 @@ class DensityMatrix:
         return abs(self.trace - 1.0) <= _NORMALIZED_ATOL
 
     def eigensystem(self) -> EigenSystem:
+        """The cached decomposition; computed at most once per operator family."""
         if self._eig is None:
-            self._eig = spectral.eigh(self._m, self._tol)
+            if self._source is None:
+                self._eig = spectral.eigh(self._m)
+            else:
+                parent, op, x = self._source
+                es = parent.eigensystem()
+                self._eig = EigenSystem(values=op(es.values, x), vectors=es.vectors)
         return self._eig
 
     def normalized(self) -> "DensityMatrix":
@@ -94,12 +102,19 @@ class DensityMatrix:
             raise DegenerateInputError("cannot normalize an operator with zero trace")
         if self.is_normalized:
             return self
-        return DensityMatrix._trusted(self._m / tr, self._tol)
+        # Divide rather than multiply by 1/tr, which overflows for a subnormal trace.
+        return self._rescaled(np.divide, tr)
 
     def scaled(self, factor: float) -> "DensityMatrix":
         if factor <= 0.0:
             raise DegenerateInputError(f"scale factor must be positive, got {factor}")
-        return DensityMatrix._trusted(self._m * factor, self._tol)
+        return self._rescaled(np.multiply, factor)
+
+    def _rescaled(self, op, x: float) -> "DensityMatrix":
+        """``op(self, x)`` for a positive scalar ``x``, sharing this decomposition."""
+        out = DensityMatrix._trusted(op(self._m, x), self._tol)
+        out._source = (self, op, x)
+        return out
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, trace={self.trace:.6g})"
@@ -153,13 +168,11 @@ def fidelity(
     tol = tol or rho._tol
     r = rho.normalized()
     s = sigma.normalized()
-    root = spectral.mat_sqrt(r._m, tol)
-    inner = spectral.symmetrize(root @ s._m @ root, tol)
-    values = spectral.eigh(inner, tol).values
+    root = spectral.mat_sqrt(r.eigensystem(), tol)
+    values = spectral.eigh(root @ s._m @ root).values
     # Eigenvalues of the inner product below the rank cut are round-off noise
     # whose square roots would otherwise pollute the trace.
-    cut = tol.rank_cut * max(float(values[0]), 0.0)
-    f = float(np.sum(np.sqrt(values[values > cut])))
+    f = float(np.sum(np.sqrt(values[values > spectral.rank_cutoff(values, tol)])))
     return min(max(f, 0.0), 1.0)
 
 
@@ -173,9 +186,16 @@ def supp_leq(
     """
     _require_same_dim(rho, sigma)
     tol = tol or rho._tol
-    kernel = spectral.kernel_projector(sigma._m, tol)
+    kernel = spectral.kernel_projector(sigma.eigensystem(), tol)
     leak = float(np.max(np.abs(kernel @ rho._m @ kernel)))
     return leak <= tol.rank_cut * rho.trace
+
+
+def _plogp(rho: DensityMatrix, tol: Tolerance) -> float:
+    """tr(rho log2 rho) over the eigenvalues of ``rho`` above the rank cut."""
+    values = rho.eigensystem().values
+    lam = values[values > spectral.rank_cutoff(values, tol)]
+    return float(np.sum(lam * np.log2(lam)))
 
 
 def relative_entropy(
@@ -196,12 +216,8 @@ def relative_entropy(
     s = sigma.normalized()
     if not supp_leq(r, s, tol):
         return INFINITE
-    es = r.eigensystem()
-    cut = tol.rank_cut * max(float(es.values[0]), 0.0)
-    lam = es.values[es.values > cut]
-    rho_log_rho = float(np.sum(lam * np.log2(lam)))
-    rho_log_sigma = float(np.trace(r._m @ spectral.mat_log2(s._m, tol)))
-    value = max(rho_log_rho - rho_log_sigma, 0.0)
+    rho_log_sigma = float(np.trace(r._m @ spectral.mat_log2(s.eigensystem(), tol)))
+    value = max(_plogp(r, tol) - rho_log_sigma, 0.0)
     if base != 2.0:
         value /= math.log2(base)
     return value
@@ -223,10 +239,7 @@ def representativeness(
 def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
     """-tr(rho log rho) of the normalized input; log2(dim) at maximal mixing."""
     r = rho.normalized()
-    es = r.eigensystem()
-    cut = r._tol.rank_cut * max(float(es.values[0]), 0.0)
-    lam = es.values[es.values > cut]
-    value = max(-float(np.sum(lam * np.log2(lam))), 0.0)
+    value = max(-_plogp(r, r._tol), 0.0)
     if base != 2.0:
         value /= math.log2(base)
     return value

@@ -18,7 +18,7 @@ class DegenerateInputError(DensemError):
 
 
 class NumericFailure(DensemError):
-    """An iterative numeric routine failed to converge."""
+    """Non-finite (NaN or infinite) input, or the eigensolver failed."""
 
 
 class TypeParseError(DensemError):

@@ -2,14 +2,15 @@
 
 Everything downstream (similarity and entailment measures, composition)
 reduces to spectral manipulations of small real symmetric matrices, so this
-module provides exactly that and nothing more: a deterministic eigensolver,
-operator square root and base-2 logarithm, and support/kernel projectors.
-All functions are pure and operate on plain ``numpy`` arrays.
+module provides exactly that and nothing more: a deterministic wrapper
+around the LAPACK symmetric eigensolver, and the operator square root,
+base-2 logarithm and support/kernel projectors of an already computed
+``EigenSystem``.  All functions are pure and operate on plain ``numpy``
+arrays; only ``eigh`` decomposes anything.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,28 +19,22 @@ from .errors import NotPositiveError, NumericFailure, ShapeError
 
 SYMMETRY_TOL = 1e-12
 
-# Sweep-level convergence threshold for the Jacobi iteration, relative to the
-# largest entry of the input.
-_JACOBI_OFF_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds used throughout the package.
 
     ``rank_cut`` is relative: an eigenvalue is treated as zero when it is
-    below ``rank_cut`` times the largest eigenvalue.  ``match_tol`` is the
-    entrywise tolerance for matrix equality checks.
+    below ``rank_cut`` times the largest eigenvalue.
     """
 
     rank_cut: float = 1e-9
-    match_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rank_cut", "match_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+        if not 0.0 < self.rank_cut < 1.0:
+            raise ValueError(
+                f"rank_cut must lie strictly between 0 and 1, got {self.rank_cut}"
+            )
 
 
 DEFAULT_TOL = Tolerance()
@@ -57,15 +52,18 @@ class EigenSystem:
         return len(self.values)
 
 
-def symmetrize(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Validate that ``a`` is square and symmetric, returning ``(a + aT)/2``.
+def symmetrize(a) -> np.ndarray:
+    """Validate that ``a`` is square, finite and symmetric, returning ``(a + aT)/2``.
 
     Asymmetry beyond ``SYMMETRY_TOL`` (relative to the largest entry) is an
-    error rather than something to silently average away.
+    error rather than something to silently average away; so is any NaN or
+    infinite entry, which would otherwise turn into a silent score.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericFailure(f"{a.shape[0]}x{a.shape[0]} matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if skew > SYMMETRY_TOL * scale:
@@ -73,127 +71,74 @@ def symmetrize(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def eigh(a, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 100) -> EigenSystem:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
+def eigh(a) -> EigenSystem:
+    """Eigendecomposition of a real symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Returns eigenvalues in descending order.  Exact ties are broken by
-    putting the lexicographically largest eigenvector first, and each
-    eigenvector is normalized so its first nonzero component is positive,
-    making the output reproducible bit-for-bit for identical inputs.
+    Returns eigenvalues in descending order.  Each eigenvector is signed so
+    its first nonzero component is positive, and exact ties are broken by
+    putting the lexicographically largest eigenvector first, so identical
+    inputs give identical outputs on one platform.
     """
-    a = symmetrize(a, tol)
+    a = symmetrize(a)
     n = a.shape[0]
     if n == 0:
         raise ShapeError("cannot decompose an empty matrix")
-    if n == 1:
-        return EigenSystem(values=a[0, :1].copy(), vectors=np.ones((1, 1)))
-
-    v = np.eye(n)
-    scale = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
-    converged = False
-    for _ in range(max_sweeps):
-        off = _max_offdiag(a)
-        if off <= _JACOBI_OFF_TOL * scale:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                _rotate(a, v, p, q, c, s)
-    else:
-        converged = _max_offdiag(a) <= _JACOBI_OFF_TOL * scale
-    if not converged:
-        raise NumericFailure(
-            f"Jacobi eigensolver failed to converge for a {n}x{n} matrix "
-            f"within {max_sweeps} sweeps"
-        )
-
-    values = np.diag(a).copy()
-    for j in range(n):
-        lead = np.argmax(np.abs(v[:, j]) > 1e-12)
-        if v[lead, j] < 0.0:
-            v[:, j] = -v[:, j]
-    order = sorted(range(n), key=lambda j: (-values[j], tuple(-v[:, j])))
-    return EigenSystem(values=values[order], vectors=v[:, order])
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise NumericFailure(f"eigensolver failed for a {n}x{n} matrix: {err}") from None
+    lead = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    vectors = vectors * np.where(vectors[lead, np.arange(n)] < 0.0, -1.0, 1.0)
+    # lexsort's last key is the primary one: descending values, then the
+    # columns compared component by component, largest first.
+    order = np.lexsort(np.vstack((-vectors[::-1], -values)))
+    return EigenSystem(values=values[order], vectors=vectors[:, order])
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.max(np.abs(a[mask])))
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, c: float, s: float):
-    """Apply the two-sided rotation J.T @ a @ J and accumulate v @ J in place."""
-    ap, aq = a[:, p].copy(), a[:, q].copy()
-    a[:, p] = c * ap - s * aq
-    a[:, q] = s * ap + c * aq
-    ap, aq = a[p, :].copy(), a[q, :].copy()
-    a[p, :] = c * ap - s * aq
-    a[q, :] = s * ap + c * aq
-    a[p, q] = a[q, p] = 0.0
-    vp, vq = v[:, p].copy(), v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
-
-
-def _rank_cutoff(values: np.ndarray, tol: Tolerance) -> float:
+def rank_cutoff(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
+    """The absolute eigenvalue below which ``values`` (descending) count as zero."""
     top = float(values[0]) if len(values) else 0.0
     return tol.rank_cut * max(top, 0.0)
 
 
-def mat_sqrt(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Operator square root of a PSD matrix via its spectral form.
+def _support(es: EigenSystem, tol: Tolerance):
+    keep = es.values > rank_cutoff(es.values, tol)
+    return es.values[keep], es.vectors[:, keep]
+
+
+def mat_sqrt(es: EigenSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Operator square root of a PSD matrix from its eigensystem.
 
     Eigenvalues in ``[-rank_cut * lambda_max, 0)`` are clamped to zero;
     anything more negative means the input is not PSD and raises.
     """
-    es = eigh(a, tol)
-    cut = _rank_cutoff(es.values, tol)
-    if es.values[-1] < -cut:
+    if es.values[-1] < -rank_cutoff(es.values, tol):
         raise NotPositiveError(
             f"matrix has eigenvalue {es.values[-1]:.6e}, below the PSD tolerance"
         )
-    clamped = np.clip(es.values, 0.0, None)
-    root = (es.vectors * np.sqrt(clamped)) @ es.vectors.T
+    root = (es.vectors * np.sqrt(np.clip(es.values, 0.0, None))) @ es.vectors.T
     return (root + root.T) / 2.0
 
 
-def mat_log2(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Base-2 operator logarithm restricted to the support of ``a``.
+def mat_log2(es: EigenSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Base-2 operator logarithm restricted to the support, from an eigensystem.
 
     Eigendirections at (numerical) zero contribute nothing, so pairing the
-    result with operators supported inside supp(a) realizes the 0*log(0) = 0
-    convention.
+    result with operators supported inside the support realizes the
+    0*log(0) = 0 convention.
     """
-    es = eigh(a, tol)
-    cut = _rank_cutoff(es.values, tol)
-    keep = es.values > cut
-    if not np.any(keep):
-        return np.zeros_like(es.vectors)
-    vs = es.vectors[:, keep]
-    out = (vs * np.log2(es.values[keep])) @ vs.T
+    lam, vs = _support(es, tol)
+    out = (vs * np.log2(lam)) @ vs.T
     return (out + out.T) / 2.0
 
 
-def support_projector(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def support_projector(es: EigenSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors above the rank cut."""
-    es = eigh(a, tol)
-    cut = _rank_cutoff(es.values, tol)
-    keep = es.values > cut
-    if not np.any(keep):
-        return np.zeros_like(es.vectors)
-    vs = es.vectors[:, keep]
+    _, vs = _support(es, tol)
     proj = vs @ vs.T
     return (proj + proj.T) / 2.0
 
 
-def kernel_projector(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def kernel_projector(es: EigenSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Projector onto the numerical kernel: the complement of the support."""
-    p = support_projector(a, tol)
-    return np.eye(p.shape[0]) - p
+    return np.eye(es.dim) - support_projector(es, tol)

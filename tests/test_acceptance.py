@@ -62,7 +62,7 @@ def random_mixture_dm(rng, dim, rank=None):
 def included_pair(rng, dim):
     """(rho, sigma) with supp(rho) inside supp(sigma), by construction."""
     sigma = random_mixture_dm(rng, dim)
-    p = support_projector(sigma.matrix)
+    p = support_projector(eigh(sigma.matrix))
     while True:
         m = random_mixture_dm(rng, dim, rank=dim).matrix
         inner = p @ m @ p
@@ -327,7 +327,7 @@ def test_criterion_8c_zero_score_iff_kernel_overlap():
     for _ in range(N_INSTANCES):
         dim = int(rng.integers(2, 5))
         sigma = random_mixture_dm(rng, dim, rank=int(rng.integers(1, dim)))
-        p = support_projector(sigma.matrix)
+        p = support_projector(eigh(sigma.matrix))
         kernel = np.eye(dim) - p
         rho_in, _ = included_pair(rng, dim)
         # align rho_in to this sigma's support

@@ -134,6 +134,12 @@ class TestSim:
         )
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("bad", ["0", "1.5", "nan"])
+    def test_tol_out_of_range_is_usage_error(self, runner, lexicon_path, bad):
+        result = runner.invoke(main, ["sim", lexicon_path, "lager", "beer", "--tol", bad])
+        assert result.exit_code == 2
+        assert "--tol" in result.output
+
 
 class TestReduce:
     def test_transitive(self, runner):

@@ -28,7 +28,8 @@ from densem.density import (
     supp_leq,
     von_neumann_entropy,
 )
-from densem.errors import DegenerateInputError, ShapeError
+from densem import spectral
+from densem.errors import DegenerateInputError, NumericFailure, ShapeError
 from densem.spectral import eigh, support_projector
 
 
@@ -110,6 +111,38 @@ class TestConstruction:
             zero.normalized()
 
 
+class TestNonFinite:
+    def test_nan_vector_is_not_scored(self):
+        with pytest.raises(NumericFailure):
+            representativeness(pure([math.nan, 1.0]), pure([1.0, 0.0]))
+
+    def test_overflowing_vector_is_not_scored(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericFailure):
+                representativeness(pure([1e200, 0.0]), pure([1.0, 0.0]))
+
+
+class TestDecompositionCount:
+    def test_each_operator_decomposed_once(self, monkeypatch):
+        calls = []
+        original = spectral.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigh", counting_eigh)
+        rho = pure([1.0, 2.0, 0.0])
+        sigma = mixture([1.0, 3.0], [pure([1.0, 0.0, 0.0]), pure([0.0, 1.0, 0.0])])
+
+        assert classify(rho, sigma).relation is Relation.HYPONYM
+        assert len(calls) == 2
+        classify(rho, sigma)
+        assert len(calls) == 2
+        fidelity(rho, sigma)
+        assert len(calls) == 3
+
+
 class TestNormalize:
     def test_psychiatrist(self):
         np.testing.assert_allclose(
@@ -123,6 +156,11 @@ class TestNormalize:
     def test_idempotent(self):
         rho = normalize(BEER)
         assert normalize(rho) is rho
+
+    def test_subnormal_trace(self):
+        rho = pure([1e-160, 0.0])
+        np.testing.assert_array_equal(rho.normalized().eigensystem().values, [1.0, 0.0])
+        assert classify(rho, pure([1.0, 0.0])).relation is Relation.EQUIVALENT
 
 
 class TestFidelity:
@@ -242,9 +280,9 @@ class TestRepresentativeness:
             dim = int(rng.integers(2, 5))
             rank = int(rng.integers(1, dim))
             sigma = random_density(rng, dim, rank=rank)
-            kernel = np.eye(dim) - support_projector(sigma.matrix)
+            kernel = np.eye(dim) - support_projector(eigh(sigma.matrix))
             inside = random_density(rng, dim, rank=rank)
-            p = support_projector(sigma.matrix)
+            p = support_projector(eigh(sigma.matrix))
             rho_in = DensityMatrix(p @ inside.matrix @ p).normalized()
             assert representativeness(rho_in, sigma) > 0.0
             leak_dir = kernel @ rng.standard_normal(dim)
@@ -284,7 +322,7 @@ class TestOrdering:
             dim = int(rng.integers(2, 5))
             rank = int(rng.integers(1, dim + 1))
             sigma = random_density(rng, dim, rank=rank)
-            p_proj = support_projector(sigma.matrix)
+            p_proj = support_projector(eigh(sigma.matrix))
             seed = rng.standard_normal((dim, dim))
             inner = p_proj @ (seed @ seed.T) @ p_proj
             if np.trace(inner) < 1e-9:

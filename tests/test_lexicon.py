@@ -329,6 +329,18 @@ class TestSchemaErrors:
             "$.words.w.type",
         )
 
+    def test_infinite_entry_is_format_error(self):
+        def mutate(d):
+            d["words"]["w"] = {
+                "type": "n",
+                "kind": "matrix",
+                "data": {"matrix": [["1e400", "0"], ["0", "1"]]},
+            }
+
+        with pytest.raises(LexiconFormatError, match="non-finite") as err:
+            load(io.StringIO(self.make(mutate)))
+        assert err.value.path == "$.words.w.data"
+
     def test_matrix_word_must_be_psd(self):
         def mutate(d):
             d["words"]["w"] = {
