@@ -7,7 +7,7 @@ composes word operators into sentence operators that provably inherit
 lexical entailment.
 """
 
-from .compose import SpaceRegistry, WordMeaning, compose, compose_kronecker, compose_transitive
+from .compose import SpaceRegistry, WordMeaning, compose, compose_kronecker
 from .density import (
     DensityMatrix,
     EntailmentVerdict,
@@ -91,7 +91,6 @@ __all__ = [
     "classify",
     "compose",
     "compose_kronecker",
-    "compose_transitive",
     "equivalent",
     "fidelity",
     "format_type",

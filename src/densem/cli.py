@@ -30,15 +30,8 @@ def _tolerance(ctx, param, tol: float | None) -> Tolerance | None:
         raise click.BadParameter(str(err), ctx=ctx, param=param) from None
 
 
-def measure_options(f):
+def output_options(f):
     f = click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")(f)
-    f = click.option(
-        "--tol",
-        type=float,
-        default=None,
-        callback=_tolerance,
-        help="Override the relative rank tolerance (default 1e-9).",
-    )(f)
     f = click.option(
         "--log-base",
         type=click.Choice(["2", "e"]),
@@ -47,6 +40,17 @@ def measure_options(f):
         help="Logarithm base for divergence-derived scores.",
     )(f)
     return f
+
+
+def measure_options(f):
+    f = click.option(
+        "--tol",
+        type=float,
+        default=None,
+        callback=_tolerance,
+        help="Override the relative rank tolerance (default 1e-9).",
+    )(f)
+    return output_options(f)
 
 
 def _load_lexicon(path: str) -> lexicon_io.Lexicon:
@@ -253,10 +257,9 @@ def compose_cmd(lexicon_path, words, target, kronecker, against, as_json, tol, l
 @main.command(name="repro")
 @click.argument("case_id", required=False, type=click.Choice(sorted(repro.CASES)))
 @click.option("--all", "run_all_cases", is_flag=True, help="Run every case.")
-@measure_options
-def repro_cmd(case_id, run_all_cases, as_json, tol, log_base):
+@output_options
+def repro_cmd(case_id, run_all_cases, as_json, log_base):
     """Re-evaluate the built-in worked examples against their expected values."""
-    del tol  # repro cases pin their own tolerances
     if run_all_cases == (case_id is not None):
         raise click.UsageError("give exactly one of CASE_ID or --all")
     base = _LOG_BASES[log_base]
@@ -291,7 +294,7 @@ def lexicon_group():
 @click.argument("path")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def lexicon_validate(path, as_json):
-    """Schema-check a lexicon file and summarize its contents."""
+    """Check a lexicon file and summarize its contents."""
     lex = _load_lexicon(path)
     payload = {
         "valid": True,

@@ -23,7 +23,6 @@ import numpy as np
 from .density import DensityMatrix, pure
 from .errors import RegistryError, ShapeError
 from .pregroup import PregroupType, ReductionDiagram, SimpleType, parse_type
-from .spectral import DEFAULT_TOL, Tolerance
 
 
 class SpaceRegistry:
@@ -113,7 +112,6 @@ def compose(
     words: Sequence[WordMeaning],
     diagram: ReductionDiagram,
     registry: SpaceRegistry,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> WordMeaning:
     """Contract word operators along a reduction diagram.
 
@@ -170,57 +168,12 @@ def compose(
     return WordMeaning(
         word=" ".join(w.word for w in words),
         ptype=diagram.target,
-        dm=DensityMatrix._trusted(matrix, tol),
+        dm=DensityMatrix._trusted(matrix),
         wire_dims=tuple(dims[p] for p in diagram.residuals),
     )
 
 
-def compose_transitive(
-    subj: WordMeaning, verb: WordMeaning, obj: WordMeaning, tol: Tolerance = DEFAULT_TOL
-) -> WordMeaning:
-    """Subject-verb-object composition written as direct tensor contractions.
-
-    Expects ``subj`` and ``obj`` on single plain wires and a verb typed like
-    ``n^r s n^l`` over matching spaces; agrees with the generic engine on
-    the standard transitive diagram.
-    """
-    for w, role in ((subj, "subject"), (obj, "object")):
-        if len(w.ptype.simples) != 1 or w.ptype.simples[0].z != 0:
-            raise ShapeError(f"{role} must have a single plain wire, got '{w.ptype}'")
-    if len(verb.ptype.simples) != 3:
-        raise ShapeError(f"verb must have three wires, got '{verb.ptype}'")
-    left, mid, right = verb.ptype.simples
-    if left != SimpleType(subj.ptype.simples[0].base, 1):
-        raise ShapeError(f"verb type '{verb.ptype}' does not take subject '{subj.ptype}'")
-    if right != SimpleType(obj.ptype.simples[0].base, -1):
-        raise ShapeError(f"verb type '{verb.ptype}' does not take object '{obj.ptype}'")
-    if mid.z != 0:
-        raise ShapeError(f"verb's middle wire must be plain, got '{mid}'")
-    dn, ds, do = verb.wire_dims
-    if (dn, do) != (subj.dm.dim, obj.dm.dim):
-        raise ShapeError(
-            f"verb wire dims {verb.wire_dims} do not match subject {subj.dm.dim}"
-            f" and object {obj.dm.dim}"
-        )
-
-    v6 = verb.dm.matrix.reshape(dn, ds, do, dn, ds, do)
-    half = np.tensordot(subj.dm.matrix, v6, axes=([0, 1], [0, 3]))
-    sentence = np.tensordot(half, obj.dm.matrix, axes=([1, 3], [0, 1]))
-    sentence = (sentence + sentence.T) / 2.0
-    return WordMeaning(
-        word=f"{subj.word} {verb.word} {obj.word}",
-        ptype=PregroupType((mid,)),
-        dm=DensityMatrix._trusted(sentence, tol),
-        wire_dims=(ds,),
-    )
-
-
-def compose_kronecker(
-    verb_mat,
-    subj: DensityMatrix,
-    obj: DensityMatrix,
-    tol: Tolerance = DEFAULT_TOL,
-) -> DensityMatrix:
+def compose_kronecker(verb_mat, subj: DensityMatrix, obj: DensityMatrix) -> DensityMatrix:
     """Closed-form composition: pure(flatten(verb)) entrywise-multiplied
     with subj (x) obj.
 
@@ -237,6 +190,6 @@ def compose_kronecker(
             f"verb table shape {table.shape} does not match subject dim"
             f" {subj.dim} and object dim {obj.dim}"
         )
-    verb_state = pure(table.reshape(-1), tol)
+    verb_state = pure(table.reshape(-1))
     product = verb_state.matrix * np.kron(subj.matrix, obj.matrix)
-    return DensityMatrix._trusted(product, tol)
+    return DensityMatrix._trusted(product)

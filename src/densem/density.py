@@ -37,28 +37,27 @@ class DensityMatrix:
     themselves, and ``normalized()`` returns an explicit unit-trace copy.
     """
 
-    __slots__ = ("_m", "_tol", "_eig", "_source")
+    __slots__ = ("_m", "_eig", "_source")
 
-    def __init__(self, matrix, tol: Tolerance = DEFAULT_TOL):
-        self._set(matrix, tol)
+    def __init__(self, matrix):
+        self._set(matrix)
         es = self.eigensystem()
-        if es.values[-1] < -spectral.rank_cutoff(es.values, tol):
+        if es.values[-1] < -spectral.rank_cutoff(es.values, DEFAULT_TOL):
             raise DegenerateInputError(
                 f"matrix is not PSD: smallest eigenvalue {es.values[-1]:.6e}"
             )
 
     @classmethod
-    def _trusted(cls, matrix, tol: Tolerance = DEFAULT_TOL) -> "DensityMatrix":
+    def _trusted(cls, matrix) -> "DensityMatrix":
         """Wrap a matrix known PSD by construction, skipping the eigencheck."""
         self = object.__new__(cls)
-        self._set(matrix, tol)
+        self._set(matrix)
         return self
 
-    def _set(self, matrix, tol: Tolerance):
+    def _set(self, matrix):
         m = spectral.symmetrize(matrix)
         m.setflags(write=False)
         self._m = m
-        self._tol = tol
         self._eig = None
         # (parent, op, x) when this operator is op(parent, x) for a positive
         # scalar x: its eigensystem is then the parent's with op applied to
@@ -76,10 +75,6 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self._m))
-
-    @property
-    def tol(self) -> Tolerance:
-        return self._tol
 
     @property
     def is_normalized(self) -> bool:
@@ -112,7 +107,7 @@ class DensityMatrix:
 
     def _rescaled(self, op, x: float) -> "DensityMatrix":
         """``op(self, x)`` for a positive scalar ``x``, sharing this decomposition."""
-        out = DensityMatrix._trusted(op(self._m, x), self._tol)
+        out = DensityMatrix._trusted(op(self._m, x))
         out._source = (self, op, x)
         return out
 
@@ -120,15 +115,15 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, trace={self.trace:.6g})"
 
 
-def pure(vector, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
+def pure(vector) -> DensityMatrix:
     """Rank-1 operator |v><v| for a nonzero vector ``v``."""
     v = np.asarray(vector, dtype=float).reshape(-1)
     if v.size == 0 or not np.any(v != 0.0):
         raise DegenerateInputError("cannot build a pure state from the zero vector")
-    return DensityMatrix._trusted(np.outer(v, v), tol)
+    return DensityMatrix._trusted(np.outer(v, v))
 
 
-def mixture(weights, parts, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
+def mixture(weights, parts) -> DensityMatrix:
     """Weighted sum of PSD operators with strictly positive weights."""
     weights = [float(w) for w in weights]
     parts = list(parts)
@@ -144,7 +139,7 @@ def mixture(weights, parts, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     acc = np.zeros((dim, dim))
     for w, p in zip(weights, parts):
         acc += w * p._m
-    return DensityMatrix._trusted(acc, tol)
+    return DensityMatrix._trusted(acc)
 
 
 def normalize(rho: DensityMatrix) -> DensityMatrix:
@@ -165,7 +160,7 @@ def fidelity(
     absolute inner product |<u|v>| on pure states.
     """
     _require_same_dim(rho, sigma)
-    tol = tol or rho._tol
+    tol = tol or DEFAULT_TOL
     r = rho.normalized()
     s = sigma.normalized()
     root = spectral.mat_sqrt(r.eigensystem(), tol)
@@ -185,7 +180,7 @@ def supp_leq(
     must vanish relative to the trace of ``rho``.
     """
     _require_same_dim(rho, sigma)
-    tol = tol or rho._tol
+    tol = tol or DEFAULT_TOL
     kernel = spectral.kernel_projector(sigma.eigensystem(), tol)
     leak = float(np.max(np.abs(kernel @ rho._m @ kernel)))
     return leak <= tol.rank_cut * rho.trace
@@ -211,7 +206,7 @@ def relative_entropy(
     ``sigma`` makes the divergence infinite.
     """
     _require_same_dim(rho, sigma)
-    tol = tol or rho._tol
+    tol = tol or DEFAULT_TOL
     r = rho.normalized()
     s = sigma.normalized()
     if not supp_leq(r, s, tol):
@@ -239,7 +234,7 @@ def representativeness(
 def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
     """-tr(rho log rho) of the normalized input; log2(dim) at maximal mixing."""
     r = rho.normalized()
-    value = max(-_plogp(r, r._tol), 0.0)
+    value = max(-_plogp(r, DEFAULT_TOL), 0.0)
     if base != 2.0:
         value /= math.log2(base)
     return value

@@ -41,7 +41,7 @@ class UnknownWordError(DensemError):
 
 
 class LexiconFormatError(DensemError):
-    """A lexicon document violates the file schema.
+    """A lexicon document violates the file format.
 
     Carries a path into the offending part of the document.
     """

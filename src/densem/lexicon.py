@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
-import jsonschema
 import numpy as np
 
 from .compose import SpaceRegistry, WordMeaning
@@ -196,113 +196,6 @@ def taxonomy_mix(children: Sequence[tuple[str, float]], lex: Lexicon) -> Density
 
 _SIGNIFICANT_DIGITS = ".17g"
 
-_NUMBER = {"type": "string", "pattern": r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"}
-
-LEXICON_SCHEMA = {
-    "type": "object",
-    "required": ["spaces", "words", "verbs"],
-    "additionalProperties": False,
-    "properties": {
-        "spaces": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["dim", "labels"],
-                "additionalProperties": False,
-                "properties": {
-                    "dim": {"type": "integer", "minimum": 1},
-                    "labels": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"type": "string"},
-                    },
-                },
-            },
-        },
-        "words": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["type", "kind", "data"],
-                "additionalProperties": False,
-                "properties": {
-                    "type": {"type": "string"},
-                    "kind": {"enum": ["pure", "subsets", "matrix"]},
-                    "data": {"type": "object"},
-                },
-            },
-        },
-        "verbs": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["subject_space", "object_space", "rows"],
-                "additionalProperties": False,
-                "properties": {
-                    "subject_space": {"type": "string"},
-                    "object_space": {"type": "string"},
-                    "rows": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"type": "array", "minItems": 1, "items": _NUMBER},
-                    },
-                },
-            },
-        },
-    },
-}
-
-_PURE_DATA_SCHEMA = {
-    "type": "object",
-    "required": ["vector"],
-    "additionalProperties": False,
-    "properties": {"vector": {"type": "array", "minItems": 1, "items": _NUMBER}},
-}
-
-_SUBSETS_DATA_SCHEMA = {
-    "type": "object",
-    "required": ["records"],
-    "additionalProperties": False,
-    "properties": {
-        "records": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["features", "count"],
-                "additionalProperties": False,
-                "properties": {
-                    "features": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"type": "string"},
-                    },
-                    "count": _NUMBER,
-                },
-            },
-        }
-    },
-}
-
-_MATRIX_DATA_SCHEMA = {
-    "type": "object",
-    "required": ["matrix"],
-    "additionalProperties": False,
-    "properties": {
-        "matrix": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "minItems": 1, "items": _NUMBER},
-        }
-    },
-}
-
-_DATA_SCHEMAS = {
-    "pure": _PURE_DATA_SCHEMA,
-    "subsets": _SUBSETS_DATA_SCHEMA,
-    "matrix": _MATRIX_DATA_SCHEMA,
-}
-
 
 def _format_number(x: float) -> str:
     return format(float(x), _SIGNIFICANT_DIGITS)
@@ -344,26 +237,63 @@ def save(lex: Lexicon, destination: str | Path | IO[str]):
             json.dump(document, handle, indent=2)
 
 
-def _schema_path(error: jsonschema.ValidationError) -> str:
-    parts = ["$"]
-    for part in error.absolute_path:
-        parts.append(f"[{part}]" if isinstance(part, int) else f".{part}")
-    return "".join(parts)
+# The key under which each word kind stores its data.
+_DATA_KEYS = {"pure": "vector", "subsets": "records", "matrix": "matrix"}
+
+# Numbers are decimal strings; ``float()`` alone would also take "nan",
+# "inf", "+1", "1_0" and " 1".
+_DECIMAL = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _validate(document, schema, prefix: str = ""):
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        raise LexiconFormatError(first.message, prefix + _schema_path(first))
+def _object(value, path: str, keys: Sequence[str] | None = None) -> dict:
+    """``value`` as a JSON object; with ``keys``, it must hold exactly those."""
+    if not isinstance(value, dict):
+        raise LexiconFormatError(f"expected an object, got {type(value).__name__}", path)
+    if keys is not None:
+        for key in keys:
+            if key not in value:
+                raise LexiconFormatError(f"missing key {key!r}", path)
+        for key in value:
+            if key not in keys:
+                raise LexiconFormatError(f"unexpected key {key!r}", path)
+    return value
+
+
+def _array(value, path: str, item) -> list:
+    """A non-empty JSON array, each entry checked and converted by ``item``."""
+    if not isinstance(value, list) or not value:
+        raise LexiconFormatError("expected a non-empty array", path)
+    return [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise LexiconFormatError(f"expected a string, got {type(value).__name__}", path)
+    return value
+
+
+def _number(value, path: str) -> float:
+    if not (isinstance(value, str) and _DECIMAL.match(value)):
+        raise LexiconFormatError(f"{value!r} is not a decimal number string", path)
+    return float(value)
+
+
+def _numbers(value, path: str) -> list[float]:
+    return _array(value, path, _number)
+
+
+def _subset(value, path: str) -> tuple[frozenset[str], float]:
+    """One ``subsets`` record as its feature set and its count."""
+    value = _object(value, path, ("features", "count"))
+    features = _array(value["features"], path + ".features", _string)
+    return frozenset(features), _number(value["count"], path + ".count")
 
 
 def load(source: str | Path | IO[str]) -> Lexicon:
-    """Parse, schema-check, and reconstruct a lexicon document.
+    """Parse, check, and reconstruct a lexicon document in one pass.
 
     Violations raise ``LexiconFormatError`` carrying a path into the
-    document, e.g. ``$.words.beer.data.matrix[1]``.
+    document, e.g. ``$.words.beer.data.matrix[1][0]``.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -373,48 +303,59 @@ def load(source: str | Path | IO[str]) -> Lexicon:
         document = json.loads(text)
     except json.JSONDecodeError as err:
         raise LexiconFormatError(f"not valid JSON: {err}", "$") from None
-    _validate(document, LEXICON_SCHEMA)
+    document = _object(document, "$", ("spaces", "words", "verbs"))
 
     registry = SpaceRegistry()
-    for atom, space in document["spaces"].items():
-        if space["dim"] != len(space["labels"]):
-            raise LexiconFormatError(
-                f"dim {space['dim']} does not match {len(space['labels'])} labels",
-                f"$.spaces.{atom}",
-            )
+    for atom, space in _object(document["spaces"], "$.spaces").items():
+        path = f"$.spaces.{atom}"
+        space = _object(space, path, ("dim", "labels"))
+        dim = space["dim"]
+        # An int or an integral float, never a bool, as JSON Schema's "integer".
+        if not (type(dim) is int or type(dim) is float and dim.is_integer()) or dim < 1:
+            raise LexiconFormatError(f"dim must be an integer >= 1, got {dim!r}", path + ".dim")
+        labels = _array(space["labels"], path + ".labels", _string)
+        if dim != len(labels):
+            raise LexiconFormatError(f"dim {dim} does not match {len(labels)} labels", path)
         try:
-            registry.register(atom, space["labels"])
+            registry.register(atom, labels)
         except RegistryError as err:
-            raise LexiconFormatError(str(err), f"$.spaces.{atom}") from None
+            raise LexiconFormatError(str(err), path) from None
 
     lex = Lexicon(registry)
-    for name, entry in document["words"].items():
+    for name, entry in _object(document["words"], "$.words").items():
         path = f"$.words.{name}"
-        _validate(entry["data"], _DATA_SCHEMAS[entry["kind"]], path + ".data")
+        entry = _object(entry, path, ("type", "kind", "data"))
+        type_text = _string(entry["type"], path + ".type")
+        kind = entry["kind"]
+        if not isinstance(kind, str) or kind not in _DATA_KEYS:
+            raise LexiconFormatError(
+                f"kind {kind!r} is not one of {list(_DATA_KEYS)}", path + ".kind"
+            )
+        key = _DATA_KEYS[kind]
+        data = _object(entry["data"], path + ".data", (key,))[key]
+        data_path = f"{path}.data.{key}"
         try:
-            ptype = parse_type(entry["type"])
+            ptype = parse_type(type_text)
             dims = registry.type_dims(ptype)
         except Exception as err:
             raise LexiconFormatError(str(err), path + ".type") from None
         dim = math.prod(dims) if dims else 1
         try:
-            if entry["kind"] == "pure":
-                vector = np.array([float(x) for x in entry["data"]["vector"]])
+            if kind == "pure":
+                vector = np.array(_numbers(data, data_path))
                 if vector.size != dim:
                     raise ShapeError(f"vector length {vector.size}, expected {dim}")
                 dm = pure(vector)
-            elif entry["kind"] == "subsets":
+            elif kind == "subsets":
                 if len(dims) != 1:
                     raise ShapeError("subset words must live on a single wire")
                 records = [
-                    SubsetRecord(name, frozenset(r["features"]), float(r["count"]))
-                    for r in entry["data"]["records"]
+                    SubsetRecord(name, features, count)
+                    for features, count in _array(data, data_path, _subset)
                 ]
                 dm = build_from_subsets(records, registry.labels(ptype.simples[0].base))
             else:
-                matrix = np.array(
-                    [[float(x) for x in row] for row in entry["data"]["matrix"]]
-                )
+                matrix = np.array(_array(data, data_path, _numbers))
                 if matrix.shape != (dim, dim):
                     raise ShapeError(f"matrix shape {matrix.shape}, expected ({dim}, {dim})")
                 dm = DensityMatrix(matrix)
@@ -424,21 +365,22 @@ def load(source: str | Path | IO[str]) -> Lexicon:
         except Exception as err:
             raise LexiconFormatError(str(err), path + ".data") from None
 
-    for name, entry in document["verbs"].items():
+    for name, entry in _object(document["verbs"], "$.verbs").items():
         path = f"$.verbs.{name}"
-        rows = entry["rows"]
+        entry = _object(entry, path, ("subject_space", "object_space", "rows"))
+        subject_space = _string(entry["subject_space"], path + ".subject_space")
+        object_space = _string(entry["object_space"], path + ".object_space")
+        rows = _array(entry["rows"], path + ".rows", _numbers)
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise LexiconFormatError("rows have inconsistent lengths", path + ".rows")
-        table = np.array([[float(x) for x in row] for row in rows])
+        table = np.array(rows)
+        if not np.all(np.isfinite(table)):
+            raise LexiconFormatError("rows have non-finite entries", path + ".rows")
         try:
             lex.add_verb_table(
                 name,
-                VerbTable(
-                    subject_space=entry["subject_space"],
-                    object_space=entry["object_space"],
-                    table=table,
-                ),
+                VerbTable(subject_space=subject_space, object_space=object_space, table=table),
             )
         except (RegistryError, ShapeError) as err:
             raise LexiconFormatError(str(err), path) from None

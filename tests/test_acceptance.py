@@ -27,7 +27,6 @@ from densem.compose import (
     WordMeaning,
     compose,
     compose_kronecker,
-    compose_transitive,
 )
 from densem.density import (
     DensityMatrix,
@@ -79,6 +78,12 @@ def transitive_world(dn, ds):
 
 def lift(registry, name, type_text, dm):
     return WordMeaning.for_type(registry, name, type_text, dm)
+
+
+def transitive_diagram():
+    return reduce(
+        [parse_type("n"), parse_type("n^r s n^l"), parse_type("n")], parse_type("s")
+    )
 
 
 # --- worked-example criteria -------------------------------------------------
@@ -150,7 +155,7 @@ def test_criterion_4_correlated_mixture_sentence():
     dogs = lift(registry, "dogs", "n", pure([0.0, 1, 0, 0]))
     meat = lift(registry, "meat", "n", pure([0.0, 0, 1, 0]))
     mammals = lift(registry, "mammals", "n", mixture([0.5, 0.5], [lions.dm, dogs.dm]))
-    rho = compose_transitive(mammals, eat, meat).dm
+    rho = compose([mammals, eat, meat], transitive_diagram(), registry).dm
 
     expected = np.array([[0.75, 0.25], [0.25, 0.25]])
     matrix_ok = np.max(np.abs(rho.matrix - expected)) <= 1e-9
@@ -376,6 +381,7 @@ def test_criterion_8d_preorder_three_way_equivalence():
 
 def test_criterion_8e_composition_preserves_entailment():
     rng = np.random.default_rng(805)
+    diagram = transitive_diagram()
     failures = 0
     for _ in range(N_INSTANCES):
         dn = int(rng.integers(1, 5))
@@ -394,15 +400,23 @@ def test_criterion_8e_composition_preserves_entailment():
         rho, sigma = dominated_pair(dn)
         delta, gamma = dominated_pair(dn)
         alpha, beta = dominated_pair(dv)
-        first = compose_transitive(
-            lift(registry, "subj", "n", rho),
-            lift(registry, "verb", "n^r s n^l", alpha),
-            lift(registry, "obj", "n", delta),
+        first = compose(
+            [
+                lift(registry, "subj", "n", rho),
+                lift(registry, "verb", "n^r s n^l", alpha),
+                lift(registry, "obj", "n", delta),
+            ],
+            diagram,
+            registry,
         )
-        second = compose_transitive(
-            lift(registry, "subj", "n", sigma),
-            lift(registry, "verb", "n^r s n^l", beta),
-            lift(registry, "obj", "n", gamma),
+        second = compose(
+            [
+                lift(registry, "subj", "n", sigma),
+                lift(registry, "verb", "n^r s n^l", beta),
+                lift(registry, "obj", "n", gamma),
+            ],
+            diagram,
+            registry,
         )
         if not supp_leq(first.dm, second.dm):
             failures += 1

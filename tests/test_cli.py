@@ -2,11 +2,15 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import densem
 from densem.cli import main
 from densem.compose import SpaceRegistry, WordMeaning
 from densem.density import DensityMatrix, mixture, pure
@@ -295,3 +299,14 @@ class TestLexiconValidate:
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["lexicon", "validate", str(tmp_path / "nope.json")])
         assert result.exit_code == 1
+
+
+class TestDependencies:
+    def test_cli_import_leaves_jsonschema_unloaded(self):
+        src = Path(densem.__file__).resolve().parents[1]
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import densem.cli; "
+            "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

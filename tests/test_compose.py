@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from densem.compose import SpaceRegistry, WordMeaning, compose, compose_kronecker, compose_transitive
+from densem.compose import SpaceRegistry, WordMeaning, compose, compose_kronecker
 from densem.density import (
     DensityMatrix,
     fidelity,
@@ -209,7 +209,7 @@ class TestDogsSentences:
         # The defining vector weights both truth values by 1/2, so the
         # resulting pure sentence state carries trace 1/2, not 1.
         eat = self.eat_with_amplitude([0.5, 0.5])
-        out = compose_transitive(self.dogs, eat, self.meat)
+        out = compose([self.dogs, eat, self.meat], transitive_diagram(), self.reg)
         np.testing.assert_allclose(out.dm.matrix, np.full((2, 2), 0.25), atol=1e-12)
         assert abs(out.dm.trace - 0.5) <= 1e-12
         assert eigh(out.dm.matrix).values[1] <= 1e-12  # rank one
@@ -219,7 +219,7 @@ class TestDogsSentences:
         # lands on the 3/4-1/4 operator.
         amp = 1.0 / math.sqrt(2.0)
         eat = self.eat_with_amplitude([amp, amp])
-        out = compose_transitive(self.mammals, eat, self.meat)
+        out = compose([self.mammals, eat, self.meat], transitive_diagram(), self.reg)
         np.testing.assert_allclose(
             out.dm.matrix, [[0.75, 0.25], [0.25, 0.25]], atol=1e-12
         )
@@ -235,7 +235,9 @@ class TestDogsSentences:
         verb = WordMeaning.for_type(obj_reg, "copy", "n^r s m^l", pure(vec))
         subj = WordMeaning.for_type(obj_reg, "subj", "n", pure([3.0, 4.0]))
         obj = WordMeaning.for_type(obj_reg, "obj", "m", pure([1.0]))
-        out = compose_transitive(subj, verb, obj)
+        words = [subj, verb, obj]
+        diagram = reduce([w.ptype for w in words], parse_type("s"))
+        out = compose(words, diagram, obj_reg)
         np.testing.assert_allclose(out.dm.matrix, subj.dm.matrix, atol=1e-12)
 
 
@@ -253,10 +255,8 @@ class TestGenericEngine:
             verb = WordMeaning.for_type(reg, "v", "n^r s n^l", random_dm(rng, dn * ds * dn))
             obj = WordMeaning.for_type(reg, "b", "n", random_dm(rng, dn))
             generic = compose([subj, verb, obj], diagram, reg)
-            special = compose_transitive(subj, verb, obj)
-            np.testing.assert_allclose(
-                generic.dm.matrix, special.dm.matrix, atol=1e-10
-            )
+            expected = brute_contract([subj, verb, obj], diagram)
+            np.testing.assert_allclose(generic.dm.matrix, expected, atol=1e-10)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(223)

@@ -279,6 +279,90 @@ class TestPersistence:
         )
 
 
+def _set(*keys):
+    """A mutation that sets ``document[k0][k1]...[kn-1] = value``."""
+    *route, last, value = keys
+
+    def mutate(document):
+        for key in route:
+            document = document[key]
+        document[last] = value
+
+    return mutate
+
+
+def _word(kind, data):
+    return _set("words", "w", {"type": "n", "kind": kind, "data": data})
+
+
+def _records(*records):
+    return _word("subsets", {"records": list(records)})
+
+
+def _verb(**fields):
+    verb = {"subject_space": "n", "object_space": "n", "rows": [["1", "2"], ["3", "4"]]}
+    return _set("verbs", "v", {**verb, **fields})
+
+
+def _without(*route):
+    def mutate(document):
+        for key in route[:-1]:
+            document = document[key]
+        del document[route[-1]]
+
+    return mutate
+
+
+# One malformed document per structural rule of the format, each with a
+# fragment of the path its error must carry.
+SCHEMA_RULES = {
+    "extra-top-level-key": (_set("extra", {}), "$"),
+    "spaces-not-object": (_set("spaces", []), "$.spaces"),
+    "verbs-not-object": (_set("verbs", None), "$.verbs"),
+    "extra-space-key": (_set("spaces", "n", "extra", 1), "$.spaces.n"),
+    "missing-labels": (_without("spaces", "n", "labels"), "$.spaces.n"),
+    "dim-zero": (_set("spaces", "n", "dim", 0), "$.spaces.n.dim"),
+    "dim-true": (_set("spaces", "n", "dim", True), "$.spaces.n.dim"),
+    "dim-string": (_set("spaces", "n", "dim", "2"), "$.spaces.n.dim"),
+    "dim-fraction": (_set("spaces", "n", "dim", 1.5), "$.spaces.n.dim"),
+    "empty-labels": (_set("spaces", "n", "labels", []), "$.spaces.n.labels"),
+    "label-not-string": (_set("spaces", "n", "labels", ["a", 2]), "$.spaces.n.labels[1]"),
+    "word-not-object": (_set("words", "w", None), "$.words.w"),
+    "extra-word-key": (_set("words", "w", "extra", 1), "$.words.w"),
+    "missing-type": (_without("words", "w", "type"), "$.words.w"),
+    "type-not-string": (_set("words", "w", "type", ["n"]), "$.words.w.type"),
+    "kind-null": (_set("words", "w", "kind", None), "$.words.w.kind"),
+    "data-not-object": (_set("words", "w", "data", []), "$.words.w.data"),
+    "extra-data-key": (_set("words", "w", "data", "extra", []), "$.words.w.data"),
+    "data-key-of-other-kind": (_word("pure", {"matrix": [["1"]]}), "$.words.w.data"),
+    "empty-vector": (_word("pure", {"vector": []}), ".vector"),
+    "number-literal": (_word("pure", {"vector": [1, "0"]}), "vector[0]"),
+    "number-nan": (_word("pure", {"vector": ["nan", "0"]}), "vector[0]"),
+    "number-inf": (_word("pure", {"vector": ["inf", "0"]}), "vector[0]"),
+    "number-plus": (_word("pure", {"vector": ["+1", "0"]}), "vector[0]"),
+    "number-underscore": (_word("pure", {"vector": ["1_0", "0"]}), "vector[0]"),
+    "number-space": (_word("pure", {"vector": [" 1", "0"]}), "vector[0]"),
+    "number-empty": (_word("pure", {"vector": ["", "0"]}), "vector[0]"),
+    "empty-matrix": (_word("matrix", {"matrix": []}), ".matrix"),
+    "empty-matrix-row": (_word("matrix", {"matrix": [[], ["0"]]}), "matrix[0]"),
+    "matrix-literal": (_word("matrix", {"matrix": [["1", "0"], [0, "1"]]}), "matrix[1][0]"),
+    "empty-records": (_word("subsets", {"records": []}), ".records"),
+    "record-without-count": (_records({"features": ["a"]}), "records[0]"),
+    "extra-record-key": (_records({"features": ["a"], "count": "1", "x": 1}), "records[0]"),
+    "empty-features": (_records({"features": [], "count": "1"}), "records[0].features"),
+    "feature-not-string": (_records({"features": [1], "count": "1"}), "features[0]"),
+    "count-literal": (_records({"features": ["a"], "count": 1}), "records[0].count"),
+    "verb-not-object": (_set("verbs", "v", []), "$.verbs.v"),
+    "extra-verb-key": (_verb(extra=1), "$.verbs.v"),
+    "subject-space-not-string": (_verb(subject_space=1), "$.verbs.v.subject_space"),
+    "object-space-not-string": (_verb(object_space=None), "$.verbs.v.object_space"),
+    "empty-rows": (_verb(rows=[]), "$.verbs.v.rows"),
+    "empty-row": (_verb(rows=[[]]), "$.verbs.v.rows[0]"),
+    "row-literal": (_verb(rows=[["1", "2"], [3, "4"]]), "$.verbs.v.rows[1][0]"),
+    "row-nan": (_verb(rows=[["1", "2"], ["3", "nan"]]), "$.verbs.v.rows[1][1]"),
+}
+
+
 class TestSchemaErrors:
     def make(self, mutate):
         document = {
@@ -340,6 +424,30 @@ class TestSchemaErrors:
         with pytest.raises(LexiconFormatError, match="non-finite") as err:
             load(io.StringIO(self.make(mutate)))
         assert err.value.path == "$.words.w.data"
+
+    def test_infinite_verb_entry_is_format_error(self):
+        def mutate(d):
+            d["verbs"]["v"] = {
+                "subject_space": "n",
+                "object_space": "n",
+                "rows": [["1e400", "0"], ["0", "1"]],
+            }
+
+        with pytest.raises(LexiconFormatError, match="non-finite") as err:
+            load(io.StringIO(self.make(mutate)))
+        assert err.value.path == "$.verbs.v.rows"
+
+    @pytest.mark.parametrize(
+        "mutate, fragment", list(SCHEMA_RULES.values()), ids=list(SCHEMA_RULES)
+    )
+    def test_schema_rule(self, mutate, fragment):
+        self.expect_path(self.make(mutate), fragment)
+
+    def test_data_path_is_joined(self):
+        mutate = _word("matrix", {"matrix": [["1", "0"], ["x", "1"]]})
+        with pytest.raises(LexiconFormatError) as err:
+            load(io.StringIO(self.make(mutate)))
+        assert err.value.path == "$.words.w.data.matrix[1][0]"
 
     def test_matrix_word_must_be_psd(self):
         def mutate(d):
