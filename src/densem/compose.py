@@ -10,10 +10,18 @@ wires, in diagram order, make up the output operator.
 
 Composition never normalizes: sentence operators legitimately carry trace
 below one, and the measures normalize on their own.
+
+The word tensors are contracted pairwise, in the order ``np.einsum_path``
+plans greedily.  One einsum loop over every label at once would run over
+the product of all their dimensions: (8^4 * 2)^2, about 67M steps, for
+"adjective noun verb adjective noun" at n=8, s=2.  A plan depends only on
+the labels and the shapes, so it is made once per contraction shape and
+cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -23,6 +31,25 @@ import numpy as np
 from .density import DensityMatrix, pure
 from .errors import RegistryError, ShapeError
 from .pregroup import PregroupType, ReductionDiagram, SimpleType, parse_type
+
+
+# Distinct contraction shapes whose plan is kept, least recently used out.
+_PLAN_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _contraction_path(
+    labels: tuple[tuple[int, ...], ...],
+    shapes: tuple[tuple[int, ...], ...],
+    out_labels: tuple[int, ...],
+) -> tuple:
+    """The greedy pairwise contraction order for operands of these shapes."""
+    operands = []
+    for operand_labels, shape in zip(labels, shapes):
+        # Planning reads shapes only; a broadcast scalar stands in for the data.
+        operands.extend((np.broadcast_to(0.0, shape), list(operand_labels)))
+    path, _ = np.einsum_path(*operands, list(out_labels), optimize="greedy")
+    return tuple(path)
 
 
 class SpaceRegistry:
@@ -160,7 +187,15 @@ def compose(
     out_labels = [row_label[p] for p in diagram.residuals] + [
         col_label[p] for p in diagram.residuals
     ]
-    contracted = np.einsum(*operands, out_labels) if operands else np.array(1.0)
+    if operands:
+        path = _contraction_path(
+            tuple(tuple(labels) for labels in operands[1::2]),
+            tuple(tensor.shape for tensor in operands[::2]),
+            tuple(out_labels),
+        )
+        contracted = np.einsum(*operands, out_labels, optimize=path)
+    else:
+        contracted = np.array(1.0)
 
     out_dim = math.prod(dims[p] for p in diagram.residuals) if diagram.residuals else 1
     matrix = contracted.reshape(out_dim, out_dim)

@@ -240,9 +240,9 @@ def save(lex: Lexicon, destination: str | Path | IO[str]):
 # The key under which each word kind stores its data.
 _DATA_KEYS = {"pure": "vector", "subsets": "records", "matrix": "matrix"}
 
-# Numbers are decimal strings; ``float()`` alone would also take "nan",
-# "inf", "+1", "1_0" and " 1".
-_DECIMAL = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# Numbers are ASCII decimal strings, matched whole; ``float()`` alone would
+# also take "nan", "inf", "+1", "1_0", " 1", "1\n" and non-ASCII digits.
+_DECIMAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
 def _object(value, path: str, keys: Sequence[str] | None = None) -> dict:
@@ -273,7 +273,7 @@ def _string(value, path: str) -> str:
 
 
 def _number(value, path: str) -> float:
-    if not (isinstance(value, str) and _DECIMAL.match(value)):
+    if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
         raise LexiconFormatError(f"{value!r} is not a decimal number string", path)
     return float(value)
 

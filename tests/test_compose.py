@@ -8,6 +8,7 @@ values are frozen from an independent spectral computation (scipy
 sqrtm/eigh).
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -26,6 +27,9 @@ from densem.errors import RegistryError, ShapeError
 from densem.pregroup import parse_type, reduce
 from densem.spectral import eigh
 from oracles import brute_contract
+
+# The module itself: ``densem.compose`` as an attribute is the function.
+compose_module = importlib.import_module("densem.compose")
 
 
 def truth_registry(sentence_dim, nouns=("lions", "sloths", "meat", "plants")):
@@ -56,6 +60,27 @@ TRANSITIVE = [parse_type("n"), parse_type("n^r s n^l"), parse_type("n")]
 
 def transitive_diagram():
     return reduce(TRANSITIVE, parse_type("s"))
+
+
+# Sentence shapes longer than subject-verb-object.
+LONG_SHAPES = {
+    "adj-svo": ["n n^l", "n", "n^r s n^l", "n"],
+    "adj-both": ["n n^l", "n", "n^r s n^l", "n n^l", "n"],
+}
+
+
+def random_sentence(rng, types, dn, ds):
+    """Random words of ``types`` over n and s spaces of the given dims, and
+    their reduction to s."""
+    reg = SpaceRegistry()
+    reg.register("n", [f"n{i}" for i in range(dn)])
+    reg.register("s", [f"s{i}" for i in range(ds)])
+    words = []
+    for i, t in enumerate(types):
+        ptype = parse_type(t)
+        dim = math.prod(reg.type_dims(ptype))
+        words.append(WordMeaning.for_type(reg, f"w{i}", ptype, random_dm(rng, dim)))
+    return reg, words, reduce([w.ptype for w in words], parse_type("s"))
 
 
 class TestRegistry:
@@ -342,6 +367,37 @@ class TestGenericEngine:
                 traces = np.prod([w.dm.trace for w in words])
                 assert out.dm.trace <= traces + 1e-9
 
+    @pytest.mark.parametrize("dn, ds", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("shape", list(LONG_SHAPES))
+    def test_longer_diagrams_match_brute_force(self, shape, dn, ds):
+        rng = np.random.default_rng(263)
+        reg, words, diagram = random_sentence(rng, LONG_SHAPES[shape], dn, ds)
+        got = compose(words, diagram, reg)
+        np.testing.assert_allclose(got.dm.matrix, brute_contract(words, diagram), atol=1e-10)
+
+    def test_one_diagram_at_two_dims(self, monkeypatch):
+        # Each dims gets its own greedy plan, so a plan cache keyed on the
+        # diagram alone would reuse the first plan for the second dims.
+        plans = []
+        original = np.einsum
+
+        def recording_einsum(*operands, **kwargs):
+            fresh, _ = np.einsum_path(*operands, optimize="greedy")
+            plans.append((list(kwargs["optimize"]), fresh))
+            return original(*operands, **kwargs)
+
+        compose_module._contraction_path.cache_clear()
+        monkeypatch.setattr(compose_module.np, "einsum", recording_einsum)
+        rng = np.random.default_rng(269)
+        for dn, ds in ((1, 2), (2, 2)):
+            reg, words, diagram = random_sentence(rng, LONG_SHAPES["adj-svo"], dn, ds)
+            got = compose(words, diagram, reg)
+            expected = brute_contract(words, diagram)
+            np.testing.assert_allclose(got.dm.matrix, expected, atol=1e-10)
+        assert plans[0][1] != plans[1][1]
+        for used, fresh in plans:
+            assert used == fresh
+
     def test_type_mismatch_rejected(self):
         reg = truth_registry(1)
         diagram = transitive_diagram()
@@ -357,6 +413,27 @@ class TestGenericEngine:
         w2 = WordMeaning.for_type(reg, "verb", "n^r s", pure([1.0, 0.0]))
         with pytest.raises(ShapeError):
             compose([w1, w2], diagram, reg)
+
+
+class TestPlanCount:
+    def test_each_shape_planned_once(self, monkeypatch):
+        calls = []
+        original = np.einsum_path
+
+        def counting_einsum_path(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        compose_module._contraction_path.cache_clear()
+        monkeypatch.setattr(compose_module.np, "einsum_path", counting_einsum_path)
+        rng = np.random.default_rng(271)
+        reg, words, diagram = random_sentence(rng, LONG_SHAPES["adj-svo"], 2, 2)
+        for _ in range(3):
+            compose(words, diagram, reg)
+        assert len(calls) == 1
+        reg, words, diagram = random_sentence(rng, LONG_SHAPES["adj-svo"], 2, 1)
+        compose(words, diagram, reg)
+        assert len(calls) == 2
 
 
 class TestKronecker:

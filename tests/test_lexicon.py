@@ -343,6 +343,8 @@ SCHEMA_RULES = {
     "number-underscore": (_word("pure", {"vector": ["1_0", "0"]}), "vector[0]"),
     "number-space": (_word("pure", {"vector": [" 1", "0"]}), "vector[0]"),
     "number-empty": (_word("pure", {"vector": ["", "0"]}), "vector[0]"),
+    "number-final-newline": (_word("pure", {"vector": ["1\n", "0"]}), "vector[0]"),
+    "number-arabic-indic-digit": (_word("pure", {"vector": ["\u0661", "0"]}), "vector[0]"),
     "empty-matrix": (_word("matrix", {"matrix": []}), ".matrix"),
     "empty-matrix-row": (_word("matrix", {"matrix": [[], ["0"]]}), "matrix[0]"),
     "matrix-literal": (_word("matrix", {"matrix": [["1", "0"], [0, "1"]]}), "matrix[1][0]"),
