@@ -16,7 +16,9 @@ plans greedily.  One einsum loop over every label at once would run over
 the product of all their dimensions: (8^4 * 2)^2, about 67M steps, for
 "adjective noun verb adjective noun" at n=8, s=2.  A plan depends only on
 the labels and the shapes, so it is made once per contraction shape and
-cached.
+cached.  Each link and each residual wire takes one row and one column
+label, and numpy's einsum has 52, so a diagram reaches 26 links plus
+residuals; a longer one is a ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .pregroup import PregroupType, ReductionDiagram, SimpleType, parse_type
 
 # Distinct contraction shapes whose plan is kept, least recently used out.
 _PLAN_CACHE_SIZE = 256
+
+# Distinct subscripts np.einsum accepts (the letters a-z and A-Z).
+_EINSUM_LABELS = 52
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -164,13 +169,19 @@ def compose(
                 f"link ({i}, {j}) joins wires of dimensions {dims[i]} and {dims[j]}"
             )
 
-    # One row label and one column label per wire; a link merges the labels
-    # of its two wires (rows with rows, columns with columns).
-    row_label = {p: 2 * p for p in range(len(dims))}
-    col_label = {p: 2 * p + 1 for p in range(len(dims))}
-    for i, j in diagram.links:
-        row_label[j] = row_label[i]
-        col_label[j] = col_label[i]
+    # One label per link and per residual wire: a link's two wires share
+    # it.  Rows take label k and columns k + m.
+    m = len(diagram.links) + len(diagram.residuals)
+    if 2 * m > _EINSUM_LABELS:
+        raise ShapeError(
+            f"diagram needs {2 * m} contraction labels; numpy's einsum takes"
+            f" {_EINSUM_LABELS}, so at most {_EINSUM_LABELS // 2} links plus residuals"
+        )
+    label: dict[int, int] = {}
+    for k, (i, j) in enumerate(diagram.links):
+        label[i] = label[j] = k
+    for k, p in enumerate(diagram.residuals, start=len(diagram.links)):
+        label[p] = k
 
     operands = []
     position = 0
@@ -179,13 +190,13 @@ def compose(
         wire_positions = range(position, position + r)
         shape = tuple(dims[p] for p in wire_positions) * 2
         tensor = w.dm.matrix.reshape(shape) if r else w.dm.matrix.reshape(())
-        labels = [row_label[p] for p in wire_positions] + [
-            col_label[p] for p in wire_positions
+        labels = [label[p] for p in wire_positions] + [
+            label[p] + m for p in wire_positions
         ]
         operands.extend((tensor, labels))
         position += r
-    out_labels = [row_label[p] for p in diagram.residuals] + [
-        col_label[p] for p in diagram.residuals
+    out_labels = [label[p] for p in diagram.residuals] + [
+        label[p] + m for p in diagram.residuals
     ]
     if operands:
         path = _contraction_path(

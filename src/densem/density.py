@@ -164,7 +164,11 @@ def fidelity(
     r = rho.normalized()
     s = sigma.normalized()
     root = spectral.mat_sqrt(r.eigensystem(), tol)
-    values = spectral.eigh(root @ s._m @ root).values
+    inner = root @ s._m @ root
+    # The product is symmetric in exact arithmetic.  Average away its round-off
+    # asymmetry, which on orthogonal supports is as large as every entry and
+    # so fails the symmetry check, relative to the largest entry, in ``eigh``.
+    values = spectral.eigh((inner + inner.T) / 2.0).values
     # Eigenvalues of the inner product below the rank cut are round-off noise
     # whose square roots would otherwise pollute the trace.
     f = float(np.sum(np.sqrt(values[values > spectral.rank_cutoff(values, tol)])))

@@ -9,9 +9,10 @@ of contraction links plus the residual wire positions.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import ShapeError, TypeParseError
 
@@ -138,43 +139,6 @@ class ReductionDiagram:
             )
 
 
-def _vanish_table(simples: Sequence[SimpleType]) -> list[list[bool]]:
-    """vanish[a][b]: positions [a, b) contract fully to the unit."""
-    n = len(simples)
-    vanish = [[False] * (n + 1) for _ in range(n + 1)]
-    for a in range(n + 1):
-        vanish[a][a] = True
-    for span in range(2, n + 1, 2):
-        for a in range(0, n - span + 1):
-            b = a + span
-            for j in range(a + 1, b, 2):
-                if (
-                    contractible(simples[a], simples[j])
-                    and vanish[a + 1][j]
-                    and vanish[j + 1][b]
-                ):
-                    vanish[a][b] = True
-                    break
-    return vanish
-
-
-def _least_vanishing_links(simples, vanish, a: int, b: int) -> list[tuple[int, int]]:
-    """Lexicographically least link set contracting [a, b) to the unit.
-
-    Only called when vanish[a][b] holds, so a partner always exists.
-    """
-    if a == b:
-        return []
-    for j in range(a + 1, b, 2):
-        if contractible(simples[a], simples[j]) and vanish[a + 1][j] and vanish[j + 1][b]:
-            return (
-                [(a, j)]
-                + _least_vanishing_links(simples, vanish, a + 1, j)
-                + _least_vanishing_links(simples, vanish, j + 1, b)
-            )
-    raise AssertionError("vanish table promised a contraction that does not exist")
-
-
 def reduce(
     seq: Iterable[PregroupType], target: PregroupType
 ) -> Optional[ReductionDiagram]:
@@ -188,65 +152,51 @@ def reduce(
     for ptype in seq:
         source = source + ptype
     simples = source.simples
+    wanted = target.simples
     n = len(simples)
-    k = len(target.simples)
-    if (n - k) % 2 != 0:
+
+    @functools.cache
+    def closed(a: int, b: int) -> Optional[tuple[tuple[int, int], ...]]:
+        """The least links contracting positions [a, b) to the unit, or ``None``."""
+        if a == b:
+            return ()
+        for j in range(a + 1, b, 2):
+            if contractible(simples[a], simples[j]):
+                inner = closed(a + 1, j)
+                rest = None if inner is None else closed(j + 1, b)
+                if rest is not None:
+                    return ((a, j),) + inner + rest
         return None
-    vanish = _vanish_table(simples)
 
-    feasible_cache: dict[tuple[int, int], bool] = {}
+    @functools.cache
+    def links(i: int, t: int) -> Optional[tuple[tuple[int, int], ...]]:
+        """The least links leaving exactly ``wanted[t:]`` from [i, n), or ``None``.
 
-    def feasible(i: int, t: int) -> bool:
-        """Can positions [i, n) link/reside to produce target suffix [t, k)?"""
-        key = (i, t)
-        if key in feasible_cache:
-            return feasible_cache[key]
+        A residual is kept at ``i`` only when no link from ``i`` fits.
+        """
         if i == n:
-            out = t == k
-        else:
-            out = False
-            for j in range(i + 1, n):
-                if (
-                    contractible(simples[i], simples[j])
-                    and vanish[i + 1][j]
-                    and feasible(j + 1, t)
-                ):
-                    out = True
-                    break
-            if not out and t < k and simples[i] == target.simples[t]:
-                out = feasible(i + 1, t + 1)
-        feasible_cache[key] = out
-        return out
-
-    if not feasible(0, 0):
+            return () if t == len(wanted) else None
+        for j in range(i + 1, n, 2):
+            if contractible(simples[i], simples[j]):
+                inner = closed(i + 1, j)
+                rest = None if inner is None else links(j + 1, t)
+                if rest is not None:
+                    return ((i, j),) + inner + rest
+        if t < len(wanted) and simples[i] == wanted[t]:
+            return links(i + 1, t + 1)
         return None
 
-    links: list[tuple[int, int]] = []
-    residuals: list[int] = []
-    i, t = 0, 0
-    while i < n:
-        advanced = False
-        for j in range(i + 1, n):
-            if (
-                contractible(simples[i], simples[j])
-                and vanish[i + 1][j]
-                and feasible(j + 1, t)
-            ):
-                links.append((i, j))
-                links.extend(_least_vanishing_links(simples, vanish, i + 1, j))
-                i = j + 1
-                advanced = True
-                break
-        if advanced:
-            continue
-        residuals.append(i)
-        i += 1
-        t += 1
-
+    try:
+        found = links(0, 0)
+    except RecursionError:
+        raise ShapeError(f"{n} simple types are too long for the reducer's search") from None
+    if found is None:
+        return None
+    linked = {p for link in found for p in link}
     diagram = ReductionDiagram(
         source=source,
-        links=tuple(sorted(links)),
-        residuals=tuple(residuals),
+        links=found,
+        residuals=tuple(p for p in range(n) if p not in linked),
         target=target,
     )
     diagram.validate()

@@ -64,7 +64,7 @@ def symmetrize(a) -> np.ndarray:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NumericFailure(f"{a.shape[0]}x{a.shape[0]} matrix has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
     skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if skew > SYMMETRY_TOL * scale:
         raise ShapeError(f"matrix is not symmetric: max |a - aT| = {skew:.3e}")

@@ -83,6 +83,18 @@ def random_sentence(rng, types, dn, ds):
     return reg, words, reduce([w.ptype for w in words], parse_type("s"))
 
 
+def adjective_chain(rng, dn):
+    """14 random ``n n^l`` adjectives before a random noun, over an n space of
+    dim ``dn``, and their reduction to n."""
+    reg = SpaceRegistry().register("n", [f"n{i}" for i in range(dn)])
+    types = ["n n^l"] * 14 + ["n"]
+    words = [
+        WordMeaning.for_type(reg, f"w{i}", t, random_dm(rng, dn ** len(parse_type(t))))
+        for i, t in enumerate(types)
+    ]
+    return reg, words, reduce([w.ptype for w in words], parse_type("n"))
+
+
 class TestRegistry:
     def test_register_and_query(self):
         reg = SpaceRegistry().register("n", ["a", "b"])
@@ -397,6 +409,41 @@ class TestGenericEngine:
         assert plans[0][1] != plans[1][1]
         for used, fresh in plans:
             assert used == fresh
+
+    def test_adjective_chain_matches_brute_force(self):
+        # 29 wires, two labels each, were past numpy's 52 einsum labels.
+        rng = np.random.default_rng(277)
+        reg, words, diagram = adjective_chain(rng, 1)
+        got = compose(words, diagram, reg)
+        np.testing.assert_allclose(
+            got.dm.matrix, brute_contract(words, diagram), rtol=1e-10, atol=0
+        )
+
+    def test_adjective_chain_matches_one_adjective_at_a_time(self):
+        rng = np.random.default_rng(281)
+        reg, words, diagram = adjective_chain(rng, 2)
+        got = compose(words, diagram, reg)
+        phrase = words[-1]
+        for adjective in reversed(words[:-1]):
+            pair = [adjective, phrase]
+            phrase = compose(pair, reduce([w.ptype for w in pair], parse_type("n")), reg)
+        expected = phrase.dm.matrix
+        np.testing.assert_allclose(
+            got.dm.matrix, expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max()
+        )
+
+    def test_label_limit(self):
+        # Each residual takes a row and a column label: 26 fit, 27 do not.
+        reg = SpaceRegistry().register("n", ["a"])
+        dog = WordMeaning.for_type(reg, "dog", "n", DensityMatrix([[0.5]]))
+        for count in (26, 27):
+            words = [dog] * count
+            diagram = reduce([w.ptype for w in words], parse_type(" ".join(["n"] * count)))
+            if count == 26:
+                assert compose(words, diagram, reg).dm.matrix == pytest.approx(0.5**26)
+            else:
+                with pytest.raises(ShapeError, match="labels"):
+                    compose(words, diagram, reg)
 
     def test_type_mismatch_rejected(self):
         reg = truth_registry(1)

@@ -217,6 +217,19 @@ class TestFidelity:
             got = fidelity(pure(u), pure(v))
             assert abs(got - abs(float(u @ v))) <= 1e-9
 
+    def test_orthogonal_supports_in_a_rotated_basis(self):
+        # sqrt(rho) sigma sqrt(rho) is then round-off only, asymmetric as much
+        # as it is large.
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            dim = int(rng.integers(2, 9))
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            split = int(rng.integers(1, dim))
+            rho = DensityMatrix(q[:, :split] @ q[:, :split].T)
+            sigma = DensityMatrix(q[:, split:] @ q[:, split:].T)
+            assert fidelity(rho, sigma) <= 1e-6
+            assert classify(rho, sigma).relation is Relation.INCOMPARABLE
+
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             fidelity(LIONS, LAGER)

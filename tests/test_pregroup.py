@@ -21,8 +21,8 @@ from densem.pregroup import (
 from oracles import enumerate_valid_links as oracle_diagrams
 
 
-def random_sequence(rng, max_len=8, atoms=("n", "s")):
-    length = int(rng.integers(0, max_len + 1))
+def random_sequence(rng, max_len=8, atoms=("n", "s"), min_len=0):
+    length = int(rng.integers(min_len, max_len + 1))
     return tuple(
         SimpleType(atoms[int(rng.integers(0, len(atoms)))], int(rng.integers(-1, 2)))
         for _ in range(length)
@@ -119,8 +119,12 @@ class TestReduce:
             parse_type("n s"),
             parse_type("s n^l"),
         ]
-        for _ in range(150):
-            simples = random_sequence(rng, max_len=8)
+        draws = [random_sequence(rng, max_len=8) for _ in range(150)]
+        # Longer draws over one atom, so that some reduce (9 draw-target pairs).
+        draws += [
+            random_sequence(rng, max_len=10, atoms=("n",), min_len=9) for _ in range(200)
+        ]
+        for simples in draws:
             seq = [PregroupType(simples)]
             for target in targets:
                 valid = oracle_diagrams(simples, target)
@@ -131,6 +135,19 @@ class TestReduce:
                     assert got is not None
                     assert got.links in valid
                     assert got.links == min(valid)
+
+
+    def test_adjective_chain(self):
+        # 14 "n n^l" adjectives before a noun: each n^l takes the next n.
+        seq = [parse_type("n n^l")] * 14 + [parse_type("n")]
+        diagram = reduce(seq, parse_type("n"))
+        assert diagram.links == tuple((p, p + 1) for p in range(1, 28, 2))
+        assert diagram.residuals == (0,)
+
+    def test_past_the_search_depth_is_a_shape_error(self):
+        seq = [parse_type("n")] * 2000
+        with pytest.raises(ShapeError, match="too long"):
+            reduce(seq, parse_type(" ".join(["n"] * 2000)))
 
 
 class TestDiagramValidation:

@@ -71,6 +71,13 @@ class TestSymmetrize:
         with pytest.raises(ShapeError):
             symmetrize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_asymmetry_is_judged_relative_to_the_largest_entry(self):
+        a = np.array([[1e-20, 2e-21], [0.0, 1e-20]])
+        for scaled in (a, a * 1e20):
+            with pytest.raises(ShapeError, match="not symmetric"):
+                symmetrize(scaled)
+        assert np.array_equal(symmetrize(np.zeros((2, 2))), np.zeros((2, 2)))
+
     def test_accepts_roundoff_asymmetry(self):
         a = np.array([[1.0, 0.5 + 1e-15], [0.5, 1.0]])
         out = symmetrize(a)
