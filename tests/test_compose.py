@@ -411,7 +411,7 @@ class TestGenericEngine:
             assert used == fresh
 
     def test_adjective_chain_matches_brute_force(self):
-        # 29 wires, two labels each, were past numpy's 52 einsum labels.
+        # 29 wires, but 15 links plus residuals: 30 einsum labels.
         rng = np.random.default_rng(277)
         reg, words, diagram = adjective_chain(rng, 1)
         got = compose(words, diagram, reg)
@@ -436,14 +436,14 @@ class TestGenericEngine:
         # Each residual takes a row and a column label: 26 fit, 27 do not.
         reg = SpaceRegistry().register("n", ["a"])
         dog = WordMeaning.for_type(reg, "dog", "n", DensityMatrix([[0.5]]))
-        for count in (26, 27):
+
+        def nouns(count):
             words = [dog] * count
-            diagram = reduce([w.ptype for w in words], parse_type(" ".join(["n"] * count)))
-            if count == 26:
-                assert compose(words, diagram, reg).dm.matrix == pytest.approx(0.5**26)
-            else:
-                with pytest.raises(ShapeError, match="labels"):
-                    compose(words, diagram, reg)
+            return words, reduce([w.ptype for w in words], parse_type(" ".join(["n"] * count)))
+
+        assert compose(*nouns(26), reg).dm.matrix == pytest.approx(0.5**26)
+        with pytest.raises(ShapeError, match="labels"):
+            compose(*nouns(27), reg)
 
     def test_type_mismatch_rejected(self):
         reg = truth_registry(1)

@@ -136,7 +136,6 @@ class TestReduce:
                     assert got.links in valid
                     assert got.links == min(valid)
 
-
     def test_adjective_chain(self):
         # 14 "n n^l" adjectives before a noun: each n^l takes the next n.
         seq = [parse_type("n n^l")] * 14 + [parse_type("n")]
