@@ -5,6 +5,13 @@ similarity, representativeness (a transform of quantum relative entropy)
 scores directional entailment, and pregroup-driven tensor contraction
 composes word operators into sentence operators that provably inherit
 lexical entailment.
+
+``densem.compose`` is the function ``compose``: the package re-exports it
+under its module's name, so the attribute shadows the module, and
+``import densem.compose as m`` binds the function too.  The module keeps
+the name ``densem.compose`` (benchmark tracing finds the composition layer
+by it) and is reached through ``importlib.import_module("densem.compose")``
+or ``sys.modules``.
 """
 
 from .compose import SpaceRegistry, WordMeaning, compose, compose_kronecker

@@ -16,9 +16,13 @@ plans greedily.  One einsum loop over every label at once would run over
 the product of all their dimensions: (8^4 * 2)^2, about 67M steps, for
 "adjective noun verb adjective noun" at n=8, s=2.  A plan depends only on
 the labels and the shapes, so it is made once per contraction shape and
-cached.  Each link and each residual wire takes one row and one column
-label, and numpy's einsum has 52, so a diagram reaches 26 links plus
-residuals; a longer one is a ``ShapeError``.
+cached as a list of steps, each a ready subscripts string such as
+``"adcehg,cg->adeh"`` over the operands it pops.  ``compose`` replays the
+steps with one plain ``np.einsum`` call each, so numpy's per-call
+subscript parsing and path search run once per shape, not once per call.
+Each link and each residual wire takes one row and one column label, and
+numpy's einsum has 52, so a diagram reaches 26 links plus residuals; a
+longer one is a ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -38,23 +42,49 @@ from .pregroup import PregroupType, ReductionDiagram, SimpleType, parse_type
 # Distinct contraction shapes whose plan is kept, least recently used out.
 _PLAN_CACHE_SIZE = 256
 
-# Distinct subscripts np.einsum accepts (the letters a-z and A-Z).
-_EINSUM_LABELS = 52
+# The subscripts np.einsum accepts; label k is written _LETTERS[k].
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_EINSUM_LABELS = len(_LETTERS)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _contraction_path(
+def _contraction_plan(
     labels: tuple[tuple[int, ...], ...],
     shapes: tuple[tuple[int, ...], ...],
     out_labels: tuple[int, ...],
-) -> tuple:
-    """The greedy pairwise contraction order for operands of these shapes."""
+) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """The greedy pairwise contraction order for operands of these shapes.
+
+    Each step is ``(positions, subscripts)``: pop the operands at
+    ``positions`` (descending, so earlier pops leave later positions in
+    place), contract them with ``np.einsum(subscripts, *popped)`` and
+    append the result.  A result keeps the labels that a remaining operand
+    or the output still needs; the last step's result is the output.
+    """
     operands = []
     for operand_labels, shape in zip(labels, shapes):
         # Planning reads shapes only; a broadcast scalar stands in for the data.
         operands.extend((np.broadcast_to(0.0, shape), list(operand_labels)))
     path, _ = np.einsum_path(*operands, list(out_labels), optimize="greedy")
-    return tuple(path)
+
+    def letters(operand_labels):
+        return "".join(_LETTERS[k] for k in operand_labels)
+
+    pending = list(labels)
+    steps = []
+    for contraction in path[1:]:
+        positions = tuple(sorted(contraction, reverse=True))
+        popped = [pending.pop(p) for p in positions]
+        if pending:
+            needed = set(out_labels).union(*pending)
+            result = tuple(sorted(set().union(*popped) & needed))
+        else:
+            result = out_labels
+        pending.append(result)
+        steps.append(
+            (positions, ",".join(map(letters, popped)) + "->" + letters(result))
+        )
+    return tuple(steps)
 
 
 class SpaceRegistry:
@@ -183,28 +213,30 @@ def compose(
     for k, p in enumerate(diagram.residuals, start=len(diagram.links)):
         label[p] = k
 
-    operands = []
+    tensors = []
+    labels = []
     position = 0
     for w in words:
         r = len(w.wire_dims)
         wire_positions = range(position, position + r)
-        shape = tuple(dims[p] for p in wire_positions) * 2
-        tensor = w.dm.matrix.reshape(shape) if r else w.dm.matrix.reshape(())
-        labels = [label[p] for p in wire_positions] + [
-            label[p] + m for p in wire_positions
-        ]
-        operands.extend((tensor, labels))
-        position += r
-    out_labels = [label[p] for p in diagram.residuals] + [
-        label[p] + m for p in diagram.residuals
-    ]
-    if operands:
-        path = _contraction_path(
-            tuple(tuple(labels) for labels in operands[1::2]),
-            tuple(tensor.shape for tensor in operands[::2]),
-            tuple(out_labels),
+        # The read-only matrix itself: einsum reads it, nothing writes it.
+        tensors.append(w.dm._m.reshape(tuple(dims[p] for p in wire_positions) * 2))
+        labels.append(
+            tuple(label[p] for p in wire_positions)
+            + tuple(label[p] + m for p in wire_positions)
         )
-        contracted = np.einsum(*operands, out_labels, optimize=path)
+        position += r
+    out_labels = tuple(label[p] for p in diagram.residuals) + tuple(
+        label[p] + m for p in diagram.residuals
+    )
+    if tensors:
+        plan = _contraction_plan(
+            tuple(labels), tuple(tensor.shape for tensor in tensors), out_labels
+        )
+        for positions, subscripts in plan:
+            popped = [tensors.pop(p) for p in positions]
+            tensors.append(np.einsum(subscripts, *popped))
+        (contracted,) = tensors
     else:
         contracted = np.array(1.0)
 

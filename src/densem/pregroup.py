@@ -19,6 +19,11 @@ from .errors import ShapeError, TypeParseError
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\S+")
 
+# Distinct type strings whose parse is kept, least recently used out.  A
+# lexicon has few distinct type strings, and a parsed type is frozen, so
+# every caller can share one result.
+_TYPE_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True, order=True)
 class SimpleType:
@@ -51,11 +56,14 @@ class PregroupType:
         return format_type(self)
 
 
+@functools.lru_cache(maxsize=_TYPE_CACHE_SIZE)
 def parse_type(text: str) -> PregroupType:
     """Parse a whitespace-separated type string such as ``"n n^r s n^l n"``.
 
     Adjoint markers ``^l`` and ``^r`` may repeat (``n^l^l`` is the second
     left adjoint).  Raises with the character position on malformed input.
+    Results are cached per string; a malformed string is not, so it raises
+    every time.
     """
     simples = []
     for token_match in _TOKEN_RE.finditer(text):

@@ -10,6 +10,8 @@ sqrtm/eigh).
 
 import importlib
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -69,9 +71,9 @@ LONG_SHAPES = {
 }
 
 
-def random_sentence(rng, types, dn, ds):
+def random_sentence(rng, types, dn, ds, target="s"):
     """Random words of ``types`` over n and s spaces of the given dims, and
-    their reduction to s."""
+    their reduction to ``target``."""
     reg = SpaceRegistry()
     reg.register("n", [f"n{i}" for i in range(dn)])
     reg.register("s", [f"s{i}" for i in range(ds)])
@@ -80,7 +82,7 @@ def random_sentence(rng, types, dn, ds):
         ptype = parse_type(t)
         dim = math.prod(reg.type_dims(ptype))
         words.append(WordMeaning.for_type(reg, f"w{i}", ptype, random_dm(rng, dim)))
-    return reg, words, reduce([w.ptype for w in words], parse_type("s"))
+    return reg, words, reduce([w.ptype for w in words], parse_type(target))
 
 
 def adjective_chain(rng, dn):
@@ -391,14 +393,21 @@ class TestGenericEngine:
         # Each dims gets its own greedy plan, so a plan cache keyed on the
         # diagram alone would reuse the first plan for the second dims.
         plans = []
-        original = np.einsum
+        subscripts = []
+        original_plan = compose_module._contraction_plan
+        original_einsum = np.einsum
+
+        def recording_plan(labels, shapes, out_labels):
+            steps = original_plan(labels, shapes, out_labels)
+            plans.append((labels, shapes, out_labels, steps))
+            return steps
 
         def recording_einsum(*operands, **kwargs):
-            fresh, _ = np.einsum_path(*operands, optimize="greedy")
-            plans.append((list(kwargs["optimize"]), fresh))
-            return original(*operands, **kwargs)
+            subscripts.append(operands[0])
+            return original_einsum(*operands, **kwargs)
 
-        compose_module._contraction_path.cache_clear()
+        compose_module._contraction_plan.cache_clear()
+        monkeypatch.setattr(compose_module, "_contraction_plan", recording_plan)
         monkeypatch.setattr(compose_module.np, "einsum", recording_einsum)
         rng = np.random.default_rng(269)
         for dn, ds in ((1, 2), (2, 2)):
@@ -406,9 +415,53 @@ class TestGenericEngine:
             got = compose(words, diagram, reg)
             expected = brute_contract(words, diagram)
             np.testing.assert_allclose(got.dm.matrix, expected, atol=1e-10)
-        assert plans[0][1] != plans[1][1]
-        for used, fresh in plans:
-            assert used == fresh
+
+            labels, shapes, out_labels, steps = plans[-1]
+            operands = []
+            for w, operand_labels, shape in zip(words, labels, shapes):
+                operands.extend((w.dm.matrix.reshape(shape), list(operand_labels)))
+            fresh, _ = np.einsum_path(*operands, list(out_labels), optimize="greedy")
+            assert [positions for positions, _ in steps] == [
+                tuple(sorted(c, reverse=True)) for c in fresh[1:]
+            ]
+            assert subscripts[-len(steps):] == [sub for _, sub in steps]
+            # A step's result keeps only the labels still needed later.
+            letters = compose_module._LETTERS
+            pending = ["".join(letters[k] for k in op) for op in labels]
+            for positions, sub in steps:
+                inputs, result = sub.split("->")
+                assert inputs.split(",") == [pending.pop(p) for p in positions]
+                needed = set("".join(pending)) | {letters[k] for k in out_labels}
+                assert set(result) == set(inputs.replace(",", "")) & needed
+                pending.append(result)
+            assert pending == ["".join(letters[k] for k in out_labels)]
+        assert len(plans) == 2
+        assert plans[0][3] != plans[1][3]
+
+    @pytest.mark.parametrize(
+        "types, target",
+        [
+            (["n s"], "n s"),  # one word: a single-operand step
+            (["n n^r s"], "s"),  # a word's own wires linked: a trace
+            (["n", "n n^r n^r s"], "s"),  # a trace inside a pairwise step
+        ],
+    )
+    def test_step_edge_cases_match_brute_force(self, types, target):
+        rng = np.random.default_rng(283)
+        for dn, ds in ((1, 1), (2, 3)):
+            reg, words, diagram = random_sentence(rng, types, dn, ds, target)
+            got = compose(words, diagram, reg)
+            np.testing.assert_allclose(
+                got.dm.matrix, brute_contract(words, diagram), atol=1e-10
+            )
+
+    def test_empty_word_list(self):
+        reg = SpaceRegistry().register("n", ["a"])
+        diagram = reduce([], parse_type(""))
+        got = compose([], diagram, reg)
+        assert got.wire_dims == ()
+        np.testing.assert_array_equal(got.dm.matrix, [[1.0]])
+        np.testing.assert_array_equal(got.dm.matrix, brute_contract([], diagram))
 
     def test_adjective_chain_matches_brute_force(self):
         # 29 wires, but 15 links plus residuals: 30 einsum labels.
@@ -471,7 +524,7 @@ class TestPlanCount:
             calls.append(1)
             return original(*args, **kwargs)
 
-        compose_module._contraction_path.cache_clear()
+        compose_module._contraction_plan.cache_clear()
         monkeypatch.setattr(compose_module.np, "einsum_path", counting_einsum_path)
         rng = np.random.default_rng(271)
         reg, words, diagram = random_sentence(rng, LONG_SHAPES["adj-svo"], 2, 2)
@@ -481,6 +534,63 @@ class TestPlanCount:
         reg, words, diagram = random_sentence(rng, LONG_SHAPES["adj-svo"], 2, 1)
         compose(words, diagram, reg)
         assert len(calls) == 2
+
+    def test_cached_shape_runs_one_einsum_per_step(self, monkeypatch):
+        # A cached shape is replayed: no planning, no optimize= argument
+        # (which would send each call through numpy's path search again),
+        # and no copy of any operator.
+        rng = np.random.default_rng(293)
+        reg, words, diagram = random_sentence(rng, LONG_SHAPES["adj-both"], 2, 2)
+        compose_module._contraction_plan.cache_clear()
+        compose(words, diagram, reg)
+        steps = compose_module._contraction_plan.cache_info()
+        assert (steps.misses, steps.currsize) == (1, 1)
+
+        einsum_calls = []
+        original = np.einsum
+
+        def counting_einsum(*operands, **kwargs):
+            einsum_calls.append(kwargs)
+            return original(*operands, **kwargs)
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("a cached shape must not be planned again")
+
+        def no_copy(self):
+            raise AssertionError("compose must read operators without copying")
+
+        monkeypatch.setattr(compose_module.np, "einsum", counting_einsum)
+        monkeypatch.setattr(compose_module.np, "einsum_path", no_planning)
+        monkeypatch.setattr(DensityMatrix, "matrix", property(no_copy))
+        compose(words, diagram, reg)
+        # Five operands contract in four pairwise steps.
+        assert len(einsum_calls) == 4
+        assert all("optimize" not in kwargs for kwargs in einsum_calls)
+        assert compose_module._contraction_plan.cache_info().hits == 1
+
+
+class TestModuleName:
+    """``densem.compose`` is the function; the module is reached by name.
+
+    ``perfbench/spans.py`` finds the compose layer under the module name
+    ``densem.compose``, so the module keeps that name and the package
+    attribute stays the function it re-exports.
+    """
+
+    def test_package_attribute_is_the_function(self):
+        import densem
+        import densem.compose as bound
+
+        assert densem.compose is compose
+        assert bound is compose
+        assert not isinstance(densem.compose, types.ModuleType)
+
+    def test_module_is_reached_through_importlib(self):
+        module = importlib.import_module("densem.compose")
+        assert isinstance(module, types.ModuleType)
+        assert module.__name__ == "densem.compose"
+        assert sys.modules["densem.compose"] is module
+        assert module.compose is compose
 
 
 class TestKronecker:

@@ -61,6 +61,23 @@ class TestParse:
         with pytest.raises(TypeParseError):
             parse_type("n n^")
 
+    def test_each_string_parsed_once(self):
+        parse_type.cache_clear()
+        first = parse_type("n^r s n^l")
+        assert parse_type("n^r s n^l") is first
+        assert parse_type("n^r s") == PregroupType((SimpleType("n", 1), SimpleType("s")))
+        info = parse_type.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+    def test_parse_errors_are_not_cached(self):
+        parse_type.cache_clear()
+        for _ in range(2):
+            with pytest.raises(TypeParseError) as err:
+                parse_type("n n^x")
+            assert err.value.position == 3
+        info = parse_type.cache_info()
+        assert (info.hits, info.currsize) == (0, 0)
+
 
 class TestReduce:
     def test_transitive_sentence(self):
