@@ -142,7 +142,10 @@ def reduce_cmd(types, target, as_json):
         target_type = parse_type(target)
     except TypeParseError as err:
         raise click.UsageError(str(err))
-    diagram = reduce_types(sequence, target_type)
+    try:
+        diagram = reduce_types(sequence, target_type)
+    except DensemError as err:
+        raise click.ClickException(str(err))
     if diagram is None:
         _emit(as_json, {"reduces": False}, "NO REDUCTION")
         sys.exit(1)
@@ -203,7 +206,10 @@ def compose_cmd(lexicon_path, words, target, kronecker, against, as_json, tol, l
             target_type = parse_type(target)
         except TypeParseError as err:
             raise click.UsageError(str(err))
-        diagram = reduce_types([m.ptype for m in meanings], target_type)
+        try:
+            diagram = reduce_types([m.ptype for m in meanings], target_type)
+        except DensemError as err:
+            raise click.ClickException(str(err))
         if diagram is None:
             raise click.ClickException(
                 f"types of {' '.join(word_list)} do not reduce to '{target}'"

@@ -30,37 +30,98 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .density import DensityMatrix, pure
 from .errors import RegistryError, ShapeError
-from .pregroup import PregroupType, ReductionDiagram, SimpleType, parse_type
+from .pregroup import PregroupType, ReductionDiagram, parse_type
 
 
-# Distinct contraction shapes whose plan is kept, least recently used out.
-_PLAN_CACHE_SIZE = 256
+# Distinct (diagram, wire dims) shapes whose program is kept, least
+# recently used out.
+_PROGRAM_CACHE_SIZE = 256
 
 # The subscripts np.einsum accepts; label k is written _LETTERS[k].
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _EINSUM_LABELS = len(_LETTERS)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _contraction_plan(
-    labels: tuple[tuple[int, ...], ...],
-    shapes: tuple[tuple[int, ...], ...],
-    out_labels: tuple[int, ...],
-) -> tuple[tuple[tuple[int, ...], str], ...]:
-    """The greedy pairwise contraction order for operands of these shapes.
+class _Program(NamedTuple):
+    """Everything ``compose`` needs that depends only on the sentence shape.
 
-    Each step is ``(positions, subscripts)``: pop the operands at
-    ``positions`` (descending, so earlier pops leave later positions in
-    place), contract them with ``np.einsum(subscripts, *popped)`` and
-    append the result.  A result keeps the labels that a remaining operand
-    or the output still needs; the last step's result is the output.
+    ``shapes[w]`` reshapes word ``w``'s matrix into one row and one column
+    axis per wire, whose labels are ``labels[w]``; ``out_labels`` label the
+    output's axes.  Each step is ``(positions, subscripts)``: pop the
+    operands at ``positions`` (descending, so earlier pops leave later
+    positions in place), contract them with ``np.einsum(subscripts,
+    *popped)`` and append the result, which keeps the labels that a
+    remaining operand or the output still needs; the last step's result is
+    the output, reshaped to ``out_shape`` and typed by wires of ``out_dims``.
     """
+
+    shapes: tuple[tuple[int, ...], ...]
+    labels: tuple[tuple[int, ...], ...]
+    out_labels: tuple[int, ...]
+    steps: tuple[tuple[tuple[int, ...], str], ...]
+    out_dims: tuple[int, ...]
+    out_shape: tuple[int, int]
+
+
+@functools.lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
+def _program(
+    diagram: ReductionDiagram, wire_dims: tuple[tuple[int, ...], ...]
+) -> _Program:
+    """Check and plan the contraction of words with these wire dims along
+    ``diagram``; the words' types must already match its source."""
+    diagram.validate()
+    dims = [d for word_dims in wire_dims for d in word_dims]
+    for i, j in diagram.links:
+        if dims[i] != dims[j]:
+            raise ShapeError(
+                f"link ({i}, {j}) joins wires of dimensions {dims[i]} and {dims[j]}"
+            )
+
+    # One label per link and per residual wire: a link's two wires share
+    # it.  Rows take label k and columns k + m.
+    m = len(diagram.links) + len(diagram.residuals)
+    if 2 * m > _EINSUM_LABELS:
+        raise ShapeError(
+            f"diagram needs {2 * m} contraction labels; numpy's einsum takes"
+            f" {_EINSUM_LABELS}, so at most {_EINSUM_LABELS // 2} links plus residuals"
+        )
+    label: dict[int, int] = {}
+    for k, (i, j) in enumerate(diagram.links):
+        label[i] = label[j] = k
+    for k, p in enumerate(diagram.residuals, start=len(diagram.links)):
+        label[p] = k
+
+    labels = []
+    position = 0
+    for word_dims in wire_dims:
+        rows = tuple(label[p] for p in range(position, position + len(word_dims)))
+        labels.append(rows + tuple(k + m for k in rows))
+        position += len(word_dims)
+    rows = tuple(label[p] for p in diagram.residuals)
+    out_labels = rows + tuple(k + m for k in rows)
+    shapes = tuple(word_dims * 2 for word_dims in wire_dims)
+    out_dims = tuple(dims[p] for p in diagram.residuals)
+    out_dim = math.prod(out_dims)
+    return _Program(
+        shapes=shapes,
+        labels=tuple(labels),
+        out_labels=out_labels,
+        steps=_contraction_steps(labels, shapes, out_labels) if labels else (),
+        out_dims=out_dims,
+        out_shape=(out_dim, out_dim),
+    )
+
+
+def _contraction_steps(labels, shapes, out_labels):
+    """The greedy pairwise contraction order for operands of these shapes,
+    as the steps of a ``_Program``."""
     operands = []
     for operand_labels, shape in zip(labels, shapes):
         # Planning reads shapes only; a broadcast scalar stands in for the data.
@@ -181,73 +242,29 @@ def compose(
     wires must agree in dimension.  The output is typed by the diagram's
     target and is PSD with trace at most the product of the input traces.
     """
-    diagram.validate()
-    concat: tuple[SimpleType, ...] = ()
-    dims: list[int] = []
-    for w in words:
-        concat = concat + w.ptype.simples
-        dims.extend(w.wire_dims)
+    concat = tuple(chain.from_iterable(w.ptype.simples for w in words))
     if concat != diagram.source.simples:
         raise ShapeError(
             "concatenated word types "
             f"{[str(s) for s in concat]} do not match the diagram source "
             f"{[str(s) for s in diagram.source.simples]}"
         )
-    for i, j in diagram.links:
-        if dims[i] != dims[j]:
-            raise ShapeError(
-                f"link ({i}, {j}) joins wires of dimensions {dims[i]} and {dims[j]}"
-            )
+    program = _program(diagram, tuple(w.wire_dims for w in words))
 
-    # One label per link and per residual wire: a link's two wires share
-    # it.  Rows take label k and columns k + m.
-    m = len(diagram.links) + len(diagram.residuals)
-    if 2 * m > _EINSUM_LABELS:
-        raise ShapeError(
-            f"diagram needs {2 * m} contraction labels; numpy's einsum takes"
-            f" {_EINSUM_LABELS}, so at most {_EINSUM_LABELS // 2} links plus residuals"
-        )
-    label: dict[int, int] = {}
-    for k, (i, j) in enumerate(diagram.links):
-        label[i] = label[j] = k
-    for k, p in enumerate(diagram.residuals, start=len(diagram.links)):
-        label[p] = k
+    # The read-only matrices themselves: einsum reads them, nothing writes them.
+    tensors = [w.dm._m.reshape(shape) for w, shape in zip(words, program.shapes)]
+    for positions, subscripts in program.steps:
+        popped = [tensors.pop(p) for p in positions]
+        tensors.append(np.einsum(subscripts, *popped))
+    contracted = tensors[0] if tensors else np.array(1.0)
 
-    tensors = []
-    labels = []
-    position = 0
-    for w in words:
-        r = len(w.wire_dims)
-        wire_positions = range(position, position + r)
-        # The read-only matrix itself: einsum reads it, nothing writes it.
-        tensors.append(w.dm._m.reshape(tuple(dims[p] for p in wire_positions) * 2))
-        labels.append(
-            tuple(label[p] for p in wire_positions)
-            + tuple(label[p] + m for p in wire_positions)
-        )
-        position += r
-    out_labels = tuple(label[p] for p in diagram.residuals) + tuple(
-        label[p] + m for p in diagram.residuals
-    )
-    if tensors:
-        plan = _contraction_plan(
-            tuple(labels), tuple(tensor.shape for tensor in tensors), out_labels
-        )
-        for positions, subscripts in plan:
-            popped = [tensors.pop(p) for p in positions]
-            tensors.append(np.einsum(subscripts, *popped))
-        (contracted,) = tensors
-    else:
-        contracted = np.array(1.0)
-
-    out_dim = math.prod(dims[p] for p in diagram.residuals) if diagram.residuals else 1
-    matrix = contracted.reshape(out_dim, out_dim)
+    matrix = contracted.reshape(program.out_shape)
     matrix = (matrix + matrix.T) / 2.0
     return WordMeaning(
         word=" ".join(w.word for w in words),
         ptype=diagram.target,
         dm=DensityMatrix._trusted(matrix),
-        wire_dims=tuple(dims[p] for p in diagram.residuals),
+        wire_dims=program.out_dims,
     )
 
 

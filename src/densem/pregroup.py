@@ -24,6 +24,10 @@ _TOKEN_RE = re.compile(r"\S+")
 # every caller can share one result.
 _TYPE_CACHE_SIZE = 1024
 
+# Distinct (type sequence, target) pairs whose reduction is kept, least
+# recently used out.  A diagram is frozen, so callers share one result.
+_DIAGRAM_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True, order=True)
 class SimpleType:
@@ -154,13 +158,43 @@ def reduce(
 
     Links earlier in the sequence are preferred, and for a fixed opener the
     nearest partner wins, which makes repeated calls reproducible and keeps
-    simple sentences looking like their textbook reductions.
+    simple sentences looking like their textbook reductions.  Results are
+    cached per type sequence and target, so equal sequences share one
+    validated diagram; a sequence too long to search is not cached, so it
+    raises every time.
     """
+    return _reduce(tuple(seq), target)
+
+
+@functools.lru_cache(maxsize=_DIAGRAM_CACHE_SIZE)
+def _reduce(
+    seq: tuple[PregroupType, ...], target: PregroupType
+) -> Optional[ReductionDiagram]:
     source = PregroupType(())
     for ptype in seq:
         source = source + ptype
-    simples = source.simples
-    wanted = target.simples
+    n = len(source.simples)
+    try:
+        found = _search(source.simples, target.simples)
+    except RecursionError:
+        raise ShapeError(f"{n} simple types are too long for the reducer's search") from None
+    if found is None:
+        return None
+    linked = {p for link in found for p in link}
+    diagram = ReductionDiagram(
+        source=source,
+        links=found,
+        residuals=tuple(p for p in range(n) if p not in linked),
+        target=target,
+    )
+    diagram.validate()
+    return diagram
+
+
+def _search(
+    simples: tuple[SimpleType, ...], wanted: tuple[SimpleType, ...]
+) -> Optional[tuple[tuple[int, int], ...]]:
+    """The least links that leave exactly ``wanted`` from ``simples``, or ``None``."""
     n = len(simples)
 
     @functools.cache
@@ -194,21 +228,7 @@ def reduce(
             return links(i + 1, t + 1)
         return None
 
-    try:
-        found = links(0, 0)
-    except RecursionError:
-        raise ShapeError(f"{n} simple types are too long for the reducer's search") from None
-    if found is None:
-        return None
-    linked = {p for link in found for p in link}
-    diagram = ReductionDiagram(
-        source=source,
-        links=found,
-        residuals=tuple(p for p in range(n) if p not in linked),
-        target=target,
-    )
-    diagram.validate()
-    return diagram
+    return links(0, 0)
 
 
 def is_grammatical(seq: Iterable[PregroupType], sentence_atom: str = "s") -> bool:

@@ -11,6 +11,7 @@ arrays; only ``eigh`` decomposes anything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +63,14 @@ def symmetrize(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NumericFailure(f"{a.shape[0]}x{a.shape[0]} matrix has non-finite entries")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if skew > SYMMETRY_TOL * scale:
-        raise ShapeError(f"matrix is not symmetric: max |a - aT| = {skew:.3e}")
+    if a.size:
+        # A NaN or an infinite entry makes the largest magnitude non-finite.
+        scale = float(abs(a).max())
+        if not math.isfinite(scale):
+            raise NumericFailure(f"{a.shape[0]}x{a.shape[0]} matrix has non-finite entries")
+        skew = float(abs(a - a.T).max())
+        if skew > SYMMETRY_TOL * scale:
+            raise ShapeError(f"matrix is not symmetric: max |a - aT| = {skew:.3e}")
     return (a + a.T) / 2.0
 
 
@@ -87,12 +90,20 @@ def eigh(a) -> EigenSystem:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as err:
         raise NumericFailure(f"eigensolver failed for a {n}x{n} matrix: {err}") from None
-    lead = np.argmax(np.abs(vectors) > 1e-12, axis=0)
-    vectors = vectors * np.where(vectors[lead, np.arange(n)] < 0.0, -1.0, 1.0)
-    # lexsort's last key is the primary one: descending values, then the
-    # columns compared component by component, largest first.
-    order = np.lexsort(np.vstack((-vectors[::-1], -values)))
-    return EigenSystem(values=values[order], vectors=vectors[:, order])
+    # LAPACK returns ascending values, so reversed they descend; the
+    # vectors are kept column-major, the layout the tie sort below gives.
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1]
+    lead = np.argmax(abs(vectors) > 1e-12, axis=0)
+    signs = np.where(vectors[lead, np.arange(n)] < 0.0, -1.0, 1.0)
+    vectors = np.multiply(vectors, signs, order="F")
+    if (values[:-1] <= values[1:]).any():
+        # An exact tie.  lexsort's last key is the primary one: descending
+        # values, then the columns compared component by component, largest
+        # first.
+        order = np.lexsort(np.vstack((-vectors[::-1], -values)))
+        values, vectors = values[order], vectors[:, order]
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def rank_cutoff(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -14,6 +14,7 @@ import densem
 from densem.cli import main
 from densem.compose import SpaceRegistry, WordMeaning
 from densem.density import DensityMatrix, mixture, pure
+from densem.errors import DensemError
 from densem.lexicon import Lexicon, SubsetRecord, VerbTable, build_from_subsets, save
 
 
@@ -179,6 +180,13 @@ class TestReduce:
         assert result.exit_code == 2
         assert "position" in result.output
 
+    def test_too_long_for_the_search_exit_one(self, runner):
+        result = runner.invoke(main, ["reduce", *["n n^l"] * 600, "n", "--target", "n"])
+        assert result.exit_code == 1
+        assert "too long" in result.output
+        assert not isinstance(result.exception, DensemError)
+        assert "Traceback" not in result.output
+
 
 class TestCompose:
     def test_truth_sentence(self, runner, lexicon_path):
@@ -211,6 +219,15 @@ class TestCompose:
         )
         assert result.exit_code == 1
         assert "reduce" in result.output
+
+    def test_too_long_for_the_search_exit_one(self, runner, lexicon_path):
+        result = runner.invoke(
+            main, ["compose", lexicon_path, *["lions"] * 600, "--target", " ".join(["t"] * 600)]
+        )
+        assert result.exit_code == 1
+        assert "too long" in result.output
+        assert not isinstance(result.exception, DensemError)
+        assert "Traceback" not in result.output
 
     def test_kronecker_pair(self, runner, lexicon_path):
         result = runner.invoke(

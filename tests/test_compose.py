@@ -26,7 +26,7 @@ from densem.density import (
     supp_leq,
 )
 from densem.errors import RegistryError, ShapeError
-from densem.pregroup import parse_type, reduce
+from densem.pregroup import ReductionDiagram, parse_type, reduce
 from densem.spectral import eigh
 from oracles import brute_contract
 
@@ -392,22 +392,22 @@ class TestGenericEngine:
     def test_one_diagram_at_two_dims(self, monkeypatch):
         # Each dims gets its own greedy plan, so a plan cache keyed on the
         # diagram alone would reuse the first plan for the second dims.
-        plans = []
+        programs = []
         subscripts = []
-        original_plan = compose_module._contraction_plan
+        original_program = compose_module._program
         original_einsum = np.einsum
 
-        def recording_plan(labels, shapes, out_labels):
-            steps = original_plan(labels, shapes, out_labels)
-            plans.append((labels, shapes, out_labels, steps))
-            return steps
+        def recording_program(diagram, wire_dims):
+            program = original_program(diagram, wire_dims)
+            programs.append(program)
+            return program
 
         def recording_einsum(*operands, **kwargs):
             subscripts.append(operands[0])
             return original_einsum(*operands, **kwargs)
 
-        compose_module._contraction_plan.cache_clear()
-        monkeypatch.setattr(compose_module, "_contraction_plan", recording_plan)
+        compose_module._program.cache_clear()
+        monkeypatch.setattr(compose_module, "_program", recording_program)
         monkeypatch.setattr(compose_module.np, "einsum", recording_einsum)
         rng = np.random.default_rng(269)
         for dn, ds in ((1, 2), (2, 2)):
@@ -416,7 +416,10 @@ class TestGenericEngine:
             expected = brute_contract(words, diagram)
             np.testing.assert_allclose(got.dm.matrix, expected, atol=1e-10)
 
-            labels, shapes, out_labels, steps = plans[-1]
+            program = programs[-1]
+            labels, shapes, out_labels, steps = (
+                program.labels, program.shapes, program.out_labels, program.steps
+            )
             operands = []
             for w, operand_labels, shape in zip(words, labels, shapes):
                 operands.extend((w.dm.matrix.reshape(shape), list(operand_labels)))
@@ -435,8 +438,8 @@ class TestGenericEngine:
                 assert set(result) == set(inputs.replace(",", "")) & needed
                 pending.append(result)
             assert pending == ["".join(letters[k] for k in out_labels)]
-        assert len(plans) == 2
-        assert plans[0][3] != plans[1][3]
+        assert len(programs) == 2
+        assert programs[0].steps != programs[1].steps
 
     @pytest.mark.parametrize(
         "types, target",
@@ -524,7 +527,7 @@ class TestPlanCount:
             calls.append(1)
             return original(*args, **kwargs)
 
-        compose_module._contraction_plan.cache_clear()
+        compose_module._program.cache_clear()
         monkeypatch.setattr(compose_module.np, "einsum_path", counting_einsum_path)
         rng = np.random.default_rng(271)
         reg, words, diagram = random_sentence(rng, LONG_SHAPES["adj-svo"], 2, 2)
@@ -541,10 +544,10 @@ class TestPlanCount:
         # and no copy of any operator.
         rng = np.random.default_rng(293)
         reg, words, diagram = random_sentence(rng, LONG_SHAPES["adj-both"], 2, 2)
-        compose_module._contraction_plan.cache_clear()
+        compose_module._program.cache_clear()
         compose(words, diagram, reg)
-        steps = compose_module._contraction_plan.cache_info()
-        assert (steps.misses, steps.currsize) == (1, 1)
+        programs = compose_module._program.cache_info()
+        assert (programs.misses, programs.currsize) == (1, 1)
 
         einsum_calls = []
         original = np.einsum
@@ -566,7 +569,57 @@ class TestPlanCount:
         # Five operands contract in four pairwise steps.
         assert len(einsum_calls) == 4
         assert all("optimize" not in kwargs for kwargs in einsum_calls)
-        assert compose_module._contraction_plan.cache_info().hits == 1
+        assert compose_module._program.cache_info().hits == 1
+
+    def test_cached_shape_validates_the_diagram_once(self, monkeypatch):
+        calls = []
+        original = ReductionDiagram.validate
+
+        def counting_validate(self):
+            calls.append(self)
+            return original(self)
+
+        rng = np.random.default_rng(307)
+        reg, words, diagram = random_sentence(rng, LONG_SHAPES["adj-both"], 2, 2)
+        compose_module._program.cache_clear()
+        monkeypatch.setattr(ReductionDiagram, "validate", counting_validate)
+        first = compose(words, diagram, reg)
+        for _ in range(3):
+            again = compose(words, diagram, reg)
+            np.testing.assert_array_equal(again.dm.matrix, first.dm.matrix)
+        assert calls == [diagram]
+
+    def test_cached_shape_still_checks_word_types(self):
+        # The verb n^l s n^r has the wire dims of n^r s n^l, so the words
+        # below hit the program cached for the grammatical sentence; only
+        # the per-call type check can reject them.
+        reg = truth_registry(2)
+        diagram = transitive_diagram()
+        lions, meat = noun(reg, "lions", 0), noun(reg, "meat", 2)
+        eat = eat_meaning(reg, [(0, (1.0, 0.0), 2)])
+        wrong = WordMeaning.for_type(reg, "eat", "n^l s n^r", eat.dm)
+        assert wrong.wire_dims == eat.wire_dims
+        compose_module._program.cache_clear()
+        compose([lions, eat, meat], diagram, reg)
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="do not match the diagram source"):
+                compose([lions, wrong, meat], diagram, reg)
+        info = compose_module._program.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+
+    def test_link_dimension_mismatch_raises_every_call(self):
+        reg = SpaceRegistry().register("n", ["a", "b"]).register("s", ["x"])
+        other = SpaceRegistry().register("n", ["a", "b", "c"]).register("s", ["x"])
+        diagram = reduce([parse_type("n"), parse_type("n^r s")], parse_type("s"))
+        good = WordMeaning.for_type(reg, "big", "n", pure([1.0, 0.0]))
+        wide = WordMeaning.for_type(other, "big", "n", pure([1.0, 0.0, 0.0]))
+        verb = WordMeaning.for_type(reg, "verb", "n^r s", pure([1.0, 0.0]))
+        compose_module._program.cache_clear()
+        compose([good, verb], diagram, reg)
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="joins wires of dimensions 3 and 2"):
+                compose([wide, verb], diagram, reg)
+        assert compose_module._program.cache_info().currsize == 1
 
 
 class TestModuleName:

@@ -8,6 +8,7 @@ target, with no dynamic programming shared with the implementation.
 
 import pytest
 
+from densem import pregroup
 from densem.errors import ShapeError, TypeParseError
 from densem.pregroup import (
     PregroupType,
@@ -164,6 +165,57 @@ class TestReduce:
         seq = [parse_type("n")] * 2000
         with pytest.raises(ShapeError, match="too long"):
             reduce(seq, parse_type(" ".join(["n"] * 2000)))
+
+
+class TestReduceMemo:
+    @pytest.fixture()
+    def searches(self, monkeypatch):
+        """The (simples, wanted) arguments of every search, from a cleared memo."""
+        calls = []
+        original = pregroup._search
+
+        def counting_search(simples, wanted):
+            calls.append((simples, wanted))
+            return original(simples, wanted)
+
+        pregroup._reduce.cache_clear()
+        monkeypatch.setattr(pregroup, "_search", counting_search)
+        return calls
+
+    def test_each_sequence_and_target_searched_once(self, searches):
+        seq = [parse_type("n"), parse_type("n^r s n^l"), parse_type("n")]
+        first = reduce(seq, parse_type("s"))
+        assert reduce(list(seq), parse_type("s")) is first
+        assert reduce(seq, parse_type("s")) is first
+        assert len(searches) == 1
+        assert reduce(seq[:2], parse_type("s n^l")) is not None
+        assert reduce(seq, parse_type("n")) is None
+        assert len(searches) == 3
+        info = pregroup._reduce.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
+
+    def test_list_and_generator_share_one_diagram(self, searches):
+        types = ["n n^l", "n", "n^r s n^l", "n"]
+        from_list = reduce([parse_type(t) for t in types], parse_type("s"))
+        from_generator = reduce((parse_type(t) for t in types), parse_type("s"))
+        assert from_generator is from_list
+        assert len(searches) == 1
+
+    def test_non_reducing_sequence_is_none_every_time(self, searches):
+        seq = [parse_type("n"), parse_type("n")]
+        for _ in range(3):
+            assert reduce(seq, parse_type("s")) is None
+        assert not is_grammatical(seq)
+        assert len(searches) == 1
+
+    def test_too_long_raises_on_every_call(self, searches):
+        seq = [parse_type("n")] * 2000
+        target = parse_type(" ".join(["n"] * 2000))
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="too long"):
+                reduce(seq, target)
+        assert len(searches) == 2
+        assert pregroup._reduce.cache_info().currsize == 0
 
 
 class TestDiagramValidation:

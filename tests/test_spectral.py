@@ -136,9 +136,12 @@ class TestEigh:
 
     def test_tie_order_matches_reference_sort(self):
         # Reference order: descending values, then the lexicographically
-        # largest eigenvector first, as a plain Python sort.
+        # largest eigenvector first, as a plain Python sort.  The random
+        # inputs have no ties, so they pin the order of the tie-free path.
         pair = np.array([[2.0, 1.0], [1.0, 2.0]])
-        for a in (np.eye(3), np.diag([1.0, 2.0, 2.0, 0.0]), np.kron(np.eye(2), pair)):
+        rng = np.random.default_rng(17)
+        tie_free = [random_symmetric(rng, dim) for dim in range(1, 17)]
+        for a in (np.eye(3), np.diag([1.0, 2.0, 2.0, 0.0]), np.kron(np.eye(2), pair), *tie_free):
             es = eigh(a)
             order = sorted(
                 range(es.dim), key=lambda j: (-es.values[j], tuple(-es.vectors[:, j]))
@@ -152,6 +155,14 @@ class TestEigh:
             a = np.array([[13.0, 7.0], [7.0, bad]])
             with pytest.raises(NumericFailure, match="2x2"):
                 eigh(a)
+        # Mirrored infinities: a - aT is NaN there, which no asymmetry test catches.
+        a = np.array([[13.0, math.inf], [math.inf, 7.0]])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(a - a.T).any()
+        with pytest.raises(NumericFailure, match="2x2"):
+            eigh(a)
+        with pytest.raises(NumericFailure, match="2x2"):
+            symmetrize(a)
 
     def test_solver_failure_raises_with_dimension(self, monkeypatch):
         def failing_eigh(a):
