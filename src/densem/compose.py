@@ -14,15 +14,19 @@ below one, and the measures normalize on their own.
 The word tensors are contracted pairwise, in the order ``np.einsum_path``
 plans greedily.  One einsum loop over every label at once would run over
 the product of all their dimensions: (8^4 * 2)^2, about 67M steps, for
-"adjective noun verb adjective noun" at n=8, s=2.  A plan depends only on
-the labels and the shapes, so it is made once per contraction shape and
-cached as a list of steps, each a ready subscripts string such as
-``"adcehg,cg->adeh"`` over the operands it pops.  ``compose`` replays the
-steps with one plain ``np.einsum`` call each, so numpy's per-call
-subscript parsing and path search run once per shape, not once per call.
-Each link and each residual wire takes one row and one column label, and
-numpy's einsum has 52, so a diagram reaches 26 links plus residuals; a
-longer one is a ``ShapeError``.
+"adjective noun verb adjective noun" at n=8, s=2.
+
+Everything but the word data depends only on the sentence shape: the
+diagram and the wire dims of each word.  So ``compose`` keeps one program
+per shape, made and cached on first use: the diagram's own check, the
+link-dimension check, the einsum labels, the operand and output shapes,
+and the plan as a list of steps, each a ready subscripts string such as
+``"adcehg,cg->adeh"`` over the operands it pops.  A call checks only that
+the words' types match the diagram's source, then replays the steps with
+one plain ``np.einsum`` call each, so numpy's subscript parsing and path
+search run once per shape, not once per call.  Each link and each residual
+wire takes one row and one column label, and numpy's einsum has 52, so a
+diagram reaches 26 links plus residuals; a longer one is a ``ShapeError``.
 """
 
 from __future__ import annotations
