@@ -30,16 +30,7 @@ def _tolerance(ctx, param, tol: float | None) -> Tolerance | None:
         raise click.BadParameter(str(err), ctx=ctx, param=param) from None
 
 
-def output_options(f):
-    f = click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")(f)
-    f = click.option(
-        "--log-base",
-        type=click.Choice(["2", "e"]),
-        default="2",
-        show_default=True,
-        help="Logarithm base for divergence-derived scores.",
-    )(f)
-    return f
+json_option = click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 
 
 def measure_options(f):
@@ -50,7 +41,38 @@ def measure_options(f):
         callback=_tolerance,
         help="Override the relative rank tolerance (default 1e-9).",
     )(f)
-    return output_options(f)
+    f = json_option(f)
+    f = click.option(
+        "--log-base",
+        type=click.Choice(["2", "e"]),
+        default="2",
+        show_default=True,
+        help="Logarithm base for divergence-derived scores.",
+    )(f)
+    return f
+
+
+class _Command(click.Command):
+    """A command whose package errors become exit codes in one place.
+
+    A ``TypeParseError`` is a usage error (exit 2, with the command's usage
+    line); any other ``DensemError`` is a domain failure (exit 1).
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except TypeParseError as err:
+            raise click.UsageError(str(err), ctx) from None
+        except DensemError as err:
+            raise click.ClickException(str(err)) from None
+
+
+class _Group(click.Group):
+    """Makes every command, and every subgroup's commands, a ``_Command``."""
+
+    command_class = _Command
+    group_class = type
 
 
 def _load_lexicon(path: str) -> lexicon_io.Lexicon:
@@ -58,15 +80,8 @@ def _load_lexicon(path: str) -> lexicon_io.Lexicon:
         return lexicon_io.load(path)
     except FileNotFoundError:
         raise click.ClickException(f"no such lexicon file: {path}")
-    except lexicon_io.LexiconFormatError as err:
-        raise click.ClickException(str(err))
-
-
-def _lookup(lex: lexicon_io.Lexicon, word: str):
-    try:
-        return lex.word(word)
-    except DensemError as err:
-        raise click.ClickException(str(err))
+    except OSError as err:
+        raise click.ClickException(f"cannot read lexicon file {path}: {err.strerror}")
 
 
 def _format_matrix(matrix: np.ndarray) -> str:
@@ -86,7 +101,7 @@ def _emit(as_json: bool, payload: dict, human: str):
         click.echo(human)
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(package_name="densem")
 def main():
     """Graded similarity and entailment for operator-valued word meanings."""
@@ -101,13 +116,10 @@ def sim(lexicon_path, word_a, word_b, as_json, tol, log_base):
     """Compare two lexicon words: fidelity, both entailment scores, verdict."""
     lex = _load_lexicon(lexicon_path)
     base = _LOG_BASES[log_base]
-    a = _lookup(lex, word_a).dm
-    b = _lookup(lex, word_b).dm
-    try:
-        f = fidelity(a, b, tol=tol)
-        verdict = classify(a, b, base=base, tol=tol)
-    except DensemError as err:
-        raise click.ClickException(str(err))
+    a = lex.word(word_a).dm
+    b = lex.word(word_b).dm
+    f = fidelity(a, b, tol=tol)
+    verdict = classify(a, b, base=base, tol=tol)
     payload = {
         "word_a": word_a,
         "word_b": word_b,
@@ -134,18 +146,11 @@ main.add_command(sim, name="entail")
 @main.command(name="reduce")
 @click.argument("types", nargs=-1, required=True)
 @click.option("--target", default="s", show_default=True, help="Target type string.")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
+@json_option
 def reduce_cmd(types, target, as_json):
     """Reduce a sequence of word types; print the link diagram if one exists."""
-    try:
-        sequence = [parse_type(t) for t in types]
-        target_type = parse_type(target)
-    except TypeParseError as err:
-        raise click.UsageError(str(err))
-    try:
-        diagram = reduce_types(sequence, target_type)
-    except DensemError as err:
-        raise click.ClickException(str(err))
+    sequence = [parse_type(t) for t in types]
+    diagram = reduce_types(sequence, parse_type(target))
     if diagram is None:
         _emit(as_json, {"reduces": False}, "NO REDUCTION")
         sys.exit(1)
@@ -191,33 +196,16 @@ def compose_cmd(lexicon_path, words, target, kronecker, against, as_json, tol, l
                 raise click.UsageError(
                     "the entrywise closed form takes exactly two words: SUBJ OBJ"
                 )
-            try:
-                table = lex.verb_table(kronecker)
-            except DensemError as err:
-                raise click.ClickException(str(err))
-            subj = _lookup(lex, word_list[0]).dm
-            obj = _lookup(lex, word_list[1]).dm
-            try:
-                return compose_kronecker(table.table, subj, obj)
-            except DensemError as err:
-                raise click.ClickException(str(err))
-        meanings = [_lookup(lex, w) for w in word_list]
-        try:
-            target_type = parse_type(target)
-        except TypeParseError as err:
-            raise click.UsageError(str(err))
-        try:
-            diagram = reduce_types([m.ptype for m in meanings], target_type)
-        except DensemError as err:
-            raise click.ClickException(str(err))
+            table = lex.verb_table(kronecker).table
+            subj, obj = (lex.word(w).dm for w in word_list)
+            return compose_kronecker(table, subj, obj)
+        meanings = [lex.word(w) for w in word_list]
+        diagram = reduce_types([m.ptype for m in meanings], parse_type(target))
         if diagram is None:
             raise click.ClickException(
                 f"types of {' '.join(word_list)} do not reduce to '{target}'"
             )
-        try:
-            return compose(meanings, diagram, lex.registry).dm
-        except DensemError as err:
-            raise click.ClickException(str(err))
+        return compose(meanings, diagram, lex.registry).dm
 
     sentence = build(list(words))
     payload = {
@@ -233,12 +221,9 @@ def compose_cmd(lexicon_path, words, target, kronecker, against, as_json, tol, l
     if against is not None:
         other_words = against.split()
         other = build(other_words)
-        try:
-            f = fidelity(sentence, other, tol=tol)
-            fwd = representativeness(sentence, other, base=base, tol=tol)
-            bwd = representativeness(other, sentence, base=base, tol=tol)
-        except DensemError as err:
-            raise click.ClickException(str(err))
+        f = fidelity(sentence, other, tol=tol)
+        fwd = representativeness(sentence, other, base=base, tol=tol)
+        bwd = representativeness(other, sentence, base=base, tol=tol)
         payload["against"] = {
             "words": other_words,
             "matrix": _matrix_payload(other.matrix),
@@ -263,13 +248,12 @@ def compose_cmd(lexicon_path, words, target, kronecker, against, as_json, tol, l
 @main.command(name="repro")
 @click.argument("case_id", required=False, type=click.Choice(sorted(repro.CASES)))
 @click.option("--all", "run_all_cases", is_flag=True, help="Run every case.")
-@output_options
-def repro_cmd(case_id, run_all_cases, as_json, log_base):
+@json_option
+def repro_cmd(case_id, run_all_cases, as_json):
     """Re-evaluate the built-in worked examples against their expected values."""
     if run_all_cases == (case_id is not None):
         raise click.UsageError("give exactly one of CASE_ID or --all")
-    base = _LOG_BASES[log_base]
-    results = repro.run_all(base) if run_all_cases else [repro.run_case(case_id, base)]
+    results = repro.run_all() if run_all_cases else [repro.run_case(case_id)]
     if as_json:
         click.echo(json.dumps([r.to_dict() for r in results], indent=2))
     else:
@@ -298,7 +282,7 @@ def lexicon_group():
 
 @lexicon_group.command(name="validate")
 @click.argument("path")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
+@json_option
 def lexicon_validate(path, as_json):
     """Check a lexicon file and summarize its contents."""
     lex = _load_lexicon(path)

@@ -295,14 +295,17 @@ def load(source: str | Path | IO[str]) -> Lexicon:
     Violations raise ``LexiconFormatError`` carrying a path into the
     document, e.g. ``$.words.beer.data.matrix[1][0]``.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
     try:
-        document = json.loads(text)
+        if hasattr(source, "read"):
+            document = json.loads(source.read())
+        else:
+            document = json.loads(Path(source).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise LexiconFormatError(f"not UTF-8 text: {err}", "$") from None
     except json.JSONDecodeError as err:
         raise LexiconFormatError(f"not valid JSON: {err}", "$") from None
+    except RecursionError:
+        raise LexiconFormatError("JSON nested too deeply to parse", "$") from None
     document = _object(document, "$", ("spaces", "words", "verbs"))
 
     registry = SpaceRegistry()

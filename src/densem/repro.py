@@ -102,7 +102,7 @@ def _truth_world(sentence_labels, nouns, verb_triples):
     return registry, noun, sentence
 
 
-def case_lions_mammals(_log_base=2.0) -> CaseResult:
+def case_lions_mammals() -> CaseResult:
     lions = pure([1.0, 0.0])
     sloths = pure([0.0, 1.0])
     mammals = mixture([0.5, 0.5], [lions, sloths])
@@ -116,7 +116,7 @@ def case_lions_mammals(_log_base=2.0) -> CaseResult:
     return result
 
 
-def case_truth_1d(_log_base=2.0) -> CaseResult:
+def case_truth_1d() -> CaseResult:
     _, noun, sentence = _truth_world(
         ["true"],
         ("lions", "sloths", "meat", "plants"),
@@ -138,7 +138,7 @@ def case_truth_1d(_log_base=2.0) -> CaseResult:
     return result
 
 
-def case_truth_2d(_log_base=2.0) -> CaseResult:
+def case_truth_2d() -> CaseResult:
     _, noun, sentence = _truth_world(
         ["true", "false"],
         ("lions", "sloths", "meat", "plants"),
@@ -184,7 +184,7 @@ def case_truth_2d(_log_base=2.0) -> CaseResult:
     return result
 
 
-def case_dogs_2d(_log_base=2.0) -> CaseResult:
+def case_dogs_2d() -> CaseResult:
     # The half-true amplitudes are taken literally (1/2 each), so the
     # sentence state is rank one with trace 1/2.
     _, noun, sentence = _truth_world(
@@ -224,7 +224,7 @@ _N2_TRUE = -(_MIX_EIG_HI * math.log2(_MIX_EIG_HI) + _MIX_EIG_LO * math.log2(_MIX
 _N2_FALSE = -(_MIX_EIG_LO * math.log2(_MIX_EIG_HI) + _MIX_EIG_HI * math.log2(_MIX_EIG_LO))
 
 
-def case_mammals_again(log_base=2.0) -> CaseResult:
+def case_mammals_again() -> CaseResult:
     # Unit-norm half-true amplitude: this is the convention under which the
     # published 3/4-1/4 mixture operator comes out.
     amp = 1.0 / math.sqrt(2.0)
@@ -330,11 +330,6 @@ def case_mammals_again(log_base=2.0) -> CaseResult:
         "norm; with the literal 1/2 amplitudes of the dogs-2d case the "
         "mixture would be [[5/8, 1/8], [1/8, 1/8]] instead."
     )
-    if log_base not in (2.0, 2):
-        result.notes.append(
-            "Checks pin their own log bases; both base-2 and natural-log "
-            "figures are always verified."
-        )
     return result
 
 
@@ -354,7 +349,7 @@ def _beer_lexicon() -> Lexicon:
     return lex
 
 
-def case_beer_lager(_log_base=2.0) -> CaseResult:
+def case_beer_lager() -> CaseResult:
     lex = _beer_lexicon()
     lager, beer = lex.word("lager").dm, lex.word("beer").dm
     result = CaseResult("beer-lager")
@@ -403,7 +398,7 @@ def _people() -> tuple[DensityMatrix, DensityMatrix]:
     return psychiatrist, doctor
 
 
-def case_psychiatrist_doctor(_log_base=2.0) -> CaseResult:
+def case_psychiatrist_doctor() -> CaseResult:
     psychiatrist, doctor = _people()
     result = CaseResult("psychiatrist-doctor")
     f = fidelity(psychiatrist, doctor)
@@ -438,7 +433,7 @@ _SENT_F = 0.8517340478908533
 _SENT_R = 0.5882834945505457
 
 
-def case_drinking_sentences(_log_base=2.0) -> CaseResult:
+def case_drinking_sentences() -> CaseResult:
     psychiatrist, doctor = _people()
     lager = pure([6.0, 5.0, 0.0])
     beer = DensityMatrix([[13.0, 7, 0], [7, 7, 0], [0, 0, 0]])
@@ -488,15 +483,15 @@ CASES = {
 }
 
 
-def run_case(case_id: str, log_base: float = 2.0) -> CaseResult:
+def run_case(case_id: str) -> CaseResult:
     try:
         builder = CASES[case_id]
     except KeyError:
         raise KeyError(
             f"unknown case {case_id!r}; available: {', '.join(CASES)}"
         ) from None
-    return builder(log_base)
+    return builder()
 
 
-def run_all(log_base: float = 2.0) -> list[CaseResult]:
-    return [run_case(case_id, log_base) for case_id in CASES]
+def run_all() -> list[CaseResult]:
+    return [run_case(case_id) for case_id in CASES]

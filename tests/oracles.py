@@ -1,9 +1,10 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately naive and self-contained: quadratic-formula
-eigenvalues, explicit multi-index contraction loops, and exhaustive
-enumeration of link structures.  None of it calls into the production
-numerics it is used to check.
+eigenvalues, support projectors straight from ``np.linalg.eigh``, explicit
+multi-index contraction loops, and exhaustive enumeration of link
+structures.  None of it calls into the production numerics it is used to
+check.
 """
 
 import itertools
@@ -17,6 +18,15 @@ def eig2(a, b, c):
     mean = (a + c) / 2.0
     disc = math.sqrt(((a - c) / 2.0) ** 2 + b * b)
     return mean + disc, mean - disc
+
+
+def support_projector_oracle(matrix, rank_cut=1e-9):
+    """Projector onto the eigenvectors whose eigenvalue exceeds ``rank_cut``
+    times the largest one, straight from ``np.linalg.eigh``."""
+    values, vectors = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    kept = vectors[:, values > rank_cut * max(values[-1], 0.0)]
+    proj = kept @ kept.T
+    return (proj + proj.T) / 2.0
 
 
 def relent2_pure_oracle(basis_index, sigma, base=2.0):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,11 @@ class TestRepro:
         result = runner.invoke(main, ["repro"])
         assert result.exit_code == 2
 
+    def test_no_log_base_option(self, runner):
+        result = runner.invoke(main, ["repro", "--all", "--log-base", "e"])
+        assert result.exit_code == 2
+        assert "--log-base" in result.output
+
 
 class TestLexiconValidate:
     def test_valid(self, runner, lexicon_path):
@@ -316,6 +322,66 @@ class TestLexiconValidate:
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["lexicon", "validate", str(tmp_path / "nope.json")])
         assert result.exit_code == 1
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "args, fragment",
+        [
+            (["sim", "{lex}", "lager", "lions"], "dimension mismatch: 3 vs 4"),
+            (
+                ["compose", "{lex}", "psychiatrist", "lager", "--kronecker", "nope"],
+                "lexicon has no verb table 'nope'",
+            ),
+            (
+                ["compose", "{lex}", "lions", "lager", "--kronecker", "drink"],
+                "verb table shape (3, 3) does not match subject dim 4",
+            ),
+            (
+                ["compose", "{lex}", "lions", "eat", "meat", "--against", "lions meat"],
+                "types of lions meat do not reduce to 's'",
+            ),
+        ],
+        ids=["sim-dims", "kronecker-unknown", "kronecker-shape", "against-no-reduction"],
+    )
+    def test_domain_failure_exit_one(self, runner, lexicon_path, args, fragment):
+        result = runner.invoke(main, [a.format(lex=lexicon_path) for a in args])
+        assert result.exit_code == 1
+        assert fragment in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["lexicon", "validate", "{dir}"], ["sim", "{dir}", "a", "b"]],
+        ids=["validate", "sim"],
+    )
+    def test_unreadable_lexicon_exit_one(self, runner, tmp_path, args):
+        result = runner.invoke(main, [a.format(dir=tmp_path) for a in args])
+        assert result.exit_code == 1
+        assert f"cannot read lexicon file {tmp_path}: " in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_no_traceback_in_a_real_process(self, tmp_path):
+        src = Path(densem.__file__).resolve().parents[1]
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+        cases = [
+            (["lexicon", "validate", str(tmp_path)], 1),
+            (["lexicon", "validate", str(utf16)], 1),
+            (["reduce", "n^x"], 2),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for args, code in cases:
+            result = subprocess.run(
+                [sys.executable, "-m", "densem.cli", *args],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert result.returncode == code, (args, result.stderr)
+            assert "Traceback" not in result.stderr, result.stderr
+            assert "Error: " in result.stderr
+        assert "Usage: " in result.stderr and "reduce [OPTIONS] TYPES..." in result.stderr
 
 
 class TestDependencies:

@@ -385,6 +385,20 @@ class TestSchemaErrors:
     def test_not_json(self):
         self.expect_path("{nope", "$")
 
+    def test_not_utf8_path(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(LexiconFormatError, match=r"^\$: not UTF-8 text"):
+            load(path)
+
+    def test_nested_too_deeply(self):
+        self.expect_path("[" * 100_000 + "]" * 100_000, "$: JSON nested too deeply")
+
+    def test_not_utf8_file_object(self):
+        handle = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{\x00}\x00"), encoding="utf-8")
+        with pytest.raises(LexiconFormatError, match=r"^\$: not UTF-8 text"):
+            load(handle)
+
     def test_missing_section(self):
         self.expect_path(self.make(lambda d: d.pop("verbs")), "$")
 
