@@ -24,8 +24,6 @@ from .density import (
     equivalent,
     fidelity,
     mixture,
-    normalize,
-    precedes,
     pure,
     relative_entropy,
     representativeness,
@@ -104,9 +102,7 @@ __all__ = [
     "is_grammatical",
     "load",
     "mixture",
-    "normalize",
     "parse_type",
-    "precedes",
     "pure",
     "reduce",
     "relative_entropy",

@@ -8,6 +8,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import lexicon as lexicon_io
 from . import repro
@@ -177,7 +178,8 @@ def reduce_cmd(types, target, as_json):
     "--kronecker",
     metavar="VERB",
     default=None,
-    help="Use the named verb table in the entrywise closed form (words: SUBJ OBJ).",
+    help="Use the named verb table in the entrywise closed form (words: SUBJ OBJ); "
+    "takes no --target.",
 )
 @click.option(
     "--against",
@@ -187,6 +189,9 @@ def reduce_cmd(types, target, as_json):
 @measure_options
 def compose_cmd(lexicon_path, words, target, kronecker, against, as_json, tol, log_base):
     """Compose lexicon words into a sentence operator."""
+    source = click.get_current_context().get_parameter_source("target")
+    if kronecker is not None and source is not ParameterSource.DEFAULT:
+        raise click.UsageError("--target does not apply to --kronecker")
     lex = _load_lexicon(lexicon_path)
     base = _LOG_BASES[log_base]
 

@@ -142,10 +142,6 @@ def mixture(weights, parts) -> DensityMatrix:
     return DensityMatrix._trusted(acc)
 
 
-def normalize(rho: DensityMatrix) -> DensityMatrix:
-    return rho.normalized()
-
-
 def _require_same_dim(rho: DensityMatrix, sigma: DensityMatrix):
     if rho.dim != sigma.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
@@ -175,19 +171,32 @@ def fidelity(
     return min(max(f, 0.0), 1.0)
 
 
+def _sigma_weights(rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerance):
+    """The weights ``p_j = <v_j|rho|v_j>`` of ``rho`` on ``sigma``'s eigenvectors.
+
+    ``p = diag(V^T rho V)`` takes one n x n product off ``sigma``'s cached
+    eigensystem.  Returns ``(leak, p, mu)``: the leak of ``rho`` into
+    ``sigma``'s kernel, ``sum p_j`` over the kernel columns, which is
+    ``tr(K rho K)`` in any basis; then the weights and the eigenvalues
+    ``mu_j`` of ``sigma`` on its support.
+    """
+    es = sigma.eigensystem()
+    p = np.einsum("ij,ij->j", es.vectors, rho._m @ es.vectors)
+    keep = es.values > spectral.rank_cutoff(es.values, tol)
+    return float(np.sum(p[~keep])), p[keep], es.values[keep]
+
+
 def supp_leq(
     rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerance | None = None
 ) -> bool:
     """Whether the support of ``rho`` is contained in the support of ``sigma``.
 
-    Tested spectrally: the part of ``rho`` living in the kernel of ``sigma``
-    must vanish relative to the trace of ``rho``.
+    Tested spectrally: the trace of ``rho`` on the kernel of ``sigma`` must
+    vanish relative to the trace of ``rho``.
     """
     _require_same_dim(rho, sigma)
     tol = tol or DEFAULT_TOL
-    kernel = spectral.kernel_projector(sigma.eigensystem(), tol)
-    leak = float(np.max(np.abs(kernel @ rho._m @ kernel)))
-    return leak <= tol.rank_cut * rho.trace
+    return _sigma_weights(rho, sigma, tol)[0] <= tol.rank_cut * rho.trace
 
 
 def _plogp(rho: DensityMatrix, tol: Tolerance) -> float:
@@ -212,11 +221,10 @@ def relative_entropy(
     _require_same_dim(rho, sigma)
     tol = tol or DEFAULT_TOL
     r = rho.normalized()
-    s = sigma.normalized()
-    if not supp_leq(r, s, tol):
+    leak, p, mu = _sigma_weights(r, sigma.normalized(), tol)
+    if not leak <= tol.rank_cut * r.trace:
         return INFINITE
-    rho_log_sigma = float(np.trace(r._m @ spectral.mat_log2(s.eigensystem(), tol)))
-    value = max(_plogp(r, tol) - rho_log_sigma, 0.0)
+    value = max(_plogp(r, tol) - float(np.sum(p * np.log2(mu))), 0.0)
     if base != 2.0:
         value /= math.log2(base)
     return value
@@ -242,13 +250,6 @@ def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
     if base != 2.0:
         value /= math.log2(base)
     return value
-
-
-def precedes(
-    rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerance | None = None
-) -> bool:
-    """The graded-entailment preorder: support inclusion of ``rho`` in ``sigma``."""
-    return supp_leq(rho, sigma, tol)
 
 
 def equivalent(

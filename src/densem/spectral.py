@@ -1,12 +1,11 @@
-"""Dense symmetric-matrix kernel: eigendecomposition and operator functions.
+"""Dense symmetric-matrix kernel: eigendecomposition and the operator square root.
 
 Everything downstream (similarity and entailment measures, composition)
 reduces to spectral manipulations of small real symmetric matrices, so this
 module provides exactly that and nothing more: a deterministic wrapper
-around the LAPACK symmetric eigensolver, and the operator square root,
-base-2 logarithm and support/kernel projectors of an already computed
-``EigenSystem``.  All functions are pure and operate on plain ``numpy``
-arrays; only ``eigh`` decomposes anything.
+around the LAPACK symmetric eigensolver, the rank cut, and the operator
+square root of an already computed ``EigenSystem``.  All functions are pure
+and operate on plain ``numpy`` arrays; only ``eigh`` decomposes anything.
 """
 
 from __future__ import annotations
@@ -112,11 +111,6 @@ def rank_cutoff(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
     return tol.rank_cut * max(top, 0.0)
 
 
-def _support(es: EigenSystem, tol: Tolerance):
-    keep = es.values > rank_cutoff(es.values, tol)
-    return es.values[keep], es.vectors[:, keep]
-
-
 def mat_sqrt(es: EigenSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Operator square root of a PSD matrix from its eigensystem.
 
@@ -129,27 +123,3 @@ def mat_sqrt(es: EigenSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         )
     root = (es.vectors * np.sqrt(np.clip(es.values, 0.0, None))) @ es.vectors.T
     return (root + root.T) / 2.0
-
-
-def mat_log2(es: EigenSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Base-2 operator logarithm restricted to the support, from an eigensystem.
-
-    Eigendirections at (numerical) zero contribute nothing, so pairing the
-    result with operators supported inside the support realizes the
-    0*log(0) = 0 convention.
-    """
-    lam, vs = _support(es, tol)
-    out = (vs * np.log2(lam)) @ vs.T
-    return (out + out.T) / 2.0
-
-
-def support_projector(es: EigenSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors above the rank cut."""
-    _, vs = _support(es, tol)
-    proj = vs @ vs.T
-    return (proj + proj.T) / 2.0
-
-
-def kernel_projector(es: EigenSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Projector onto the numerical kernel: the complement of the support."""
-    return np.eye(es.dim) - support_projector(es, tol)

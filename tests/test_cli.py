@@ -244,6 +244,18 @@ class TestCompose:
         assert abs(payload["against"]["representativeness_fwd"] - 0.5882834945505457) < 1e-8
         assert payload["against"]["representativeness_bwd"] == 0.0
 
+    @pytest.mark.parametrize("target", ["n^x", "s"])
+    def test_kronecker_with_target_is_usage_error(self, runner, lexicon_path, target):
+        result = runner.invoke(
+            main,
+            [
+                "compose", lexicon_path, "psychiatrist", "lager",
+                "--kronecker", "drink", "--target", target,
+            ],
+        )
+        assert result.exit_code == 2
+        assert "--target does not apply to --kronecker" in result.output
+
     def test_kronecker_needs_two_words(self, runner, lexicon_path):
         result = runner.invoke(
             main, ["compose", lexicon_path, "psychiatrist", "--kronecker", "drink"]

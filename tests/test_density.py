@@ -20,17 +20,15 @@ from densem.density import (
     equivalent,
     fidelity,
     mixture,
-    normalize,
-    precedes,
     pure,
     relative_entropy,
     representativeness,
     supp_leq,
     von_neumann_entropy,
 )
-from densem import spectral
+from densem import density, spectral
 from densem.errors import DegenerateInputError, NumericFailure, ShapeError
-from densem.spectral import eigh
+from densem.spectral import DEFAULT_TOL, eigh
 from oracles import support_projector_oracle
 
 
@@ -147,16 +145,16 @@ class TestDecompositionCount:
 class TestNormalize:
     def test_psychiatrist(self):
         np.testing.assert_allclose(
-            normalize(PSYCHIATRIST).matrix, np.diag([2 / 7, 5 / 7, 0.0])
+            PSYCHIATRIST.normalized().matrix, np.diag([2 / 7, 5 / 7, 0.0])
         )
 
     def test_beer_trace_twenty(self):
         assert BEER.trace == 20.0
-        np.testing.assert_allclose(normalize(BEER).matrix, BEER.matrix / 20.0)
+        np.testing.assert_allclose(BEER.normalized().matrix, BEER.matrix / 20.0)
 
     def test_idempotent(self):
-        rho = normalize(BEER)
-        assert normalize(rho) is rho
+        rho = BEER.normalized()
+        assert rho.normalized() is rho
 
     def test_subnormal_trace(self):
         rho = pure([1e-160, 0.0])
@@ -361,7 +359,7 @@ class TestOrdering:
             extra = random_density(rng, dim, rank=int(rng.integers(1, dim + 1)))
             p = float(rng.uniform(0.1, 2.0))
             sigma = mixture([p, 1.0], [rho, extra])
-            assert precedes(rho, sigma)
+            assert supp_leq(rho, sigma)
 
     def test_preorder_reflexive_transitive(self):
         rng = np.random.default_rng(71)
@@ -370,13 +368,67 @@ class TestOrdering:
             a = random_density(rng, dim, rank=int(rng.integers(1, dim)))
             b = mixture([1.0, 1.0], [a, random_density(rng, dim, rank=1)])
             c = mixture([1.0, 1.0], [b, random_density(rng, dim, rank=1)])
-            assert precedes(a, a)
-            if precedes(a, b) and precedes(b, c):
-                assert precedes(a, c)
+            assert supp_leq(a, a)
+            if supp_leq(a, b) and supp_leq(b, c):
+                assert supp_leq(a, c)
 
     def test_equivalent(self):
         assert equivalent(MAMMALS, DensityMatrix(np.diag([0.3, 0.7])))
         assert not equivalent(LIONS, MAMMALS)
+
+
+class TestSupportLeak:
+    """The leak of rho into sigma's kernel is a trace, so no basis changes a verdict."""
+
+    @staticmethod
+    def spread_leak_pair(reflect):
+        # sigma = e0 e0^T; rho adds 4e-9 w w^T with w uniform on e1..e16, a
+        # trace of 4x the rank cut spread thin over sigma's 16-dim kernel.
+        dim = 17
+        sigma = np.zeros((dim, dim))
+        sigma[0, 0] = 1.0
+        w = np.zeros(dim)
+        w[1:] = 0.25
+        rho = sigma + 4e-9 * np.outer(w, w)
+        if reflect:
+            # The Householder reflection mapping w to e1; it fixes e0.
+            u = w.copy()
+            u[1] -= 1.0
+            h = np.eye(dim) - 2.0 * np.outer(u, u) / (u @ u)
+            rho, sigma = h @ rho @ h, h @ sigma @ h
+        return DensityMatrix(rho), DensityMatrix(sigma)
+
+    @pytest.mark.parametrize("reflect", [False, True], ids=["standard", "reflected"])
+    def test_spread_leak_in_any_basis(self, reflect):
+        rho, sigma = self.spread_leak_pair(reflect)
+        assert supp_leq(rho, sigma) is False
+        assert supp_leq(sigma, rho) is True
+        verdict = classify(rho, sigma)
+        assert verdict.relation is Relation.HYPERNYM
+        assert verdict.forward == 0.0 and verdict.backward > 0.0
+
+    def test_leak_is_the_kernel_trace(self):
+        rng = np.random.default_rng(79)
+        for _ in range(100):
+            dim = int(rng.integers(2, 9))
+            rank = int(rng.integers(1, dim))
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            mu = np.zeros(dim)
+            mu[:rank] = rng.uniform(0.1, 1.0, rank)
+            sigma = DensityMatrix(q @ np.diag(mu) @ q.T)
+            kernel = np.eye(dim) - support_projector_oracle(sigma.matrix)
+            # The kernel part's trace is the leak: 0.5x to 2x the rank cut.
+            inside, outside = (random_density(rng, dim).matrix for _ in range(2))
+            leak = float(rng.choice([0.5, 2.0])) * 1e-9
+            part = kernel @ outside @ kernel
+            m = (np.eye(dim) - kernel) @ inside @ (np.eye(dim) - kernel)
+            rho = DensityMatrix(m / np.trace(m) + leak * part / np.trace(part))
+
+            expected = float(np.trace(kernel @ rho.matrix @ kernel))
+            got = density._sigma_weights(rho, sigma, DEFAULT_TOL)[0]
+            assert abs(got - expected) <= 1e-15
+            assert supp_leq(rho, sigma) is (expected <= 1e-9 * rho.trace)
+            assert (representativeness(rho, sigma) > 0.0) is (expected <= 1e-9 * rho.trace)
 
 
 class TestClassify:

@@ -1,8 +1,7 @@
 """Tests for the symmetric-matrix kernel.
 
 Expected eigenvalues for 2x2 cases are frozen from the quadratic-formula
-oracle; ranks come from a Gaussian-elimination oracle.  Both oracles are
-implemented here, independent of the production code paths.
+oracle, implemented here, independent of the production code paths.
 """
 
 import math
@@ -15,10 +14,7 @@ from densem.spectral import (
     DEFAULT_TOL,
     Tolerance,
     eigh,
-    kernel_projector,
-    mat_log2,
     mat_sqrt,
-    support_projector,
     symmetrize,
 )
 
@@ -30,35 +26,13 @@ def eig2_oracle(a, b, c):
     return mean + disc, mean - disc
 
 
-def rank_oracle(m, tol=1e-9):
-    """Matrix rank by Gaussian elimination with partial pivoting."""
-    m = [list(map(float, row)) for row in np.asarray(m)]
-    n_rows = len(m)
-    n_cols = len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = max(range(rank, n_rows), key=lambda r: abs(m[r][col]), default=None)
-        if pivot is None or abs(m[pivot][col]) <= tol:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(n_rows):
-            if r != rank and m[r][col] != 0.0:
-                f = m[r][col] / m[rank][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-BEER = np.array([[13.0, 7.0, 0.0], [7.0, 7.0, 0.0], [0.0, 0.0, 0.0]])
-
-
 def random_symmetric(rng, dim, scale=1.0):
     a = rng.uniform(-scale, scale, size=(dim, dim))
     return (a + a.T) / 2.0
 
 
-def random_psd(rng, dim, rank=None):
-    b = rng.standard_normal((rank or dim, dim))
+def random_psd(rng, dim):
+    b = rng.standard_normal((dim, dim))
     return b.T @ b
 
 
@@ -207,72 +181,6 @@ class TestMatSqrt:
     def test_clamps_tiny_negative(self):
         out = mat_sqrt(eigh(np.diag([1.0, -1e-12])))
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-6)
-
-
-class TestMatLog2:
-    def test_identity_gives_zero(self):
-        np.testing.assert_allclose(mat_log2(eigh(np.eye(2))), np.zeros((2, 2)), atol=1e-12)
-
-    def test_half_diagonal(self):
-        np.testing.assert_allclose(
-            mat_log2(eigh(np.diag([0.5, 0.5]))), np.diag([-1.0, -1.0]), atol=1e-12
-        )
-
-    def test_matches_scalar_log(self):
-        entries = [0.853553, 0.146447]
-        expected = np.diag([math.log2(x) for x in entries])
-        np.testing.assert_allclose(mat_log2(eigh(np.diag(entries))), expected, atol=1e-12)
-
-    def test_zero_eigenvalues_contribute_nothing(self):
-        out = mat_log2(eigh(np.diag([2.0, 0.0])))
-        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_exponential_roundtrip_in_eigenbasis(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            dim = int(rng.integers(1, 6))
-            a = random_psd(rng, dim)
-            log_a = mat_log2(eigh(a))
-            es = eigh(a)
-            diag_log = es.vectors.T @ log_a @ es.vectors
-            for i, lam in enumerate(es.values):
-                if lam > 1e-9 * es.values[0]:
-                    assert abs(2.0 ** diag_log[i, i] - lam) <= 1e-9 * max(1.0, lam)
-
-
-class TestSupportProjector:
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            support_projector(eigh(np.diag([1.0, 0.0]))), np.diag([1.0, 0.0]), atol=1e-12
-        )
-
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(
-            support_projector(eigh(np.zeros((3, 3)))), np.zeros((3, 3)), atol=1e-12
-        )
-
-    def test_beer_matrix_rank_two(self):
-        p = support_projector(eigh(BEER))
-        assert rank_oracle(BEER) == 2
-        np.testing.assert_allclose(np.trace(p), 2.0, atol=1e-9)
-        expected = np.diag([1.0, 1.0, 0.0])
-        np.testing.assert_allclose(p, expected, atol=1e-9)
-
-    def test_idempotent_and_preserving(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            dim = int(rng.integers(1, 7))
-            rank = int(rng.integers(1, dim + 1))
-            a = random_psd(rng, dim, rank=rank)
-            p = support_projector(eigh(a))
-            assert np.max(np.abs(p @ p - p)) <= 1e-9
-            assert np.max(np.abs(p @ a @ p - a)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
-            assert abs(np.trace(p) - rank_oracle(a, tol=1e-9 * np.max(np.abs(a)))) < 0.5
-
-    def test_kernel_complements_support(self):
-        k = kernel_projector(eigh(BEER))
-        p = support_projector(eigh(BEER))
-        np.testing.assert_allclose(k + p, np.eye(3), atol=1e-12)
 
 
 class TestTolerance:
