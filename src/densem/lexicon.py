@@ -9,6 +9,8 @@ subject/object vector pairs.
 The on-disk form is a JSON document with three sections: ``spaces``,
 ``words``, and ``verbs``.  Matrix entries are stored as decimal strings
 with 17 significant digits so double-precision values round-trip exactly.
+``save`` writes compact one-line JSON, one entry at a time; ``load`` reads
+any JSON layout of the same document, indented files included.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ import numpy as np
 
 from .compose import SpaceRegistry, WordMeaning
 from .density import DensityMatrix, mixture, pure
-from .errors import LexiconFormatError, RegistryError, ShapeError, UnknownWordError
+from .errors import (
+    LexiconFormatError,
+    NumericFailure,
+    RegistryError,
+    ShapeError,
+    UnknownWordError,
+)
 from .pregroup import format_type, parse_type
 
 
@@ -156,6 +164,8 @@ class Lexicon:
                 f"verb {name!r}: table shape {verb.table.shape} disagrees with"
                 f" space dims {expected}"
             )
+        if not np.all(np.isfinite(verb.table)):
+            raise NumericFailure(f"verb {name!r}: table has non-finite entries")
         self._verbs[name] = verb
         return self
 
@@ -194,15 +204,15 @@ def taxonomy_mix(children: Sequence[tuple[str, float]], lex: Lexicon) -> Density
 
 # --- serialization ---------------------------------------------------------
 
-_SIGNIFICANT_DIGITS = ".17g"
+# The same text as ``format(x, ".17g")``, mapped over a row in one C call.
+_FORMAT_NUMBER = "%.17g".__mod__
 
-
-def _format_number(x: float) -> str:
-    return format(float(x), _SIGNIFICANT_DIGITS)
+# Without indent, ``encode`` runs CPython's C encoder; ``json.dump`` never does.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _format_matrix(m: np.ndarray) -> list[list[str]]:
-    return [[_format_number(x) for x in row] for row in np.asarray(m)]
+    return [list(map(_FORMAT_NUMBER, row)) for row in np.asarray(m).tolist()]
 
 
 def _word_document(meaning: WordMeaning) -> dict:
@@ -213,28 +223,53 @@ def _word_document(meaning: WordMeaning) -> dict:
     }
 
 
-def save(lex: Lexicon, destination: str | Path | IO[str]):
-    """Write the lexicon as JSON; word operators are stored as full matrices."""
-    document = {
-        "spaces": {
-            atom: {"dim": lex.registry.dim(atom), "labels": list(lex.registry.labels(atom))}
-            for atom in lex.registry.atoms()
-        },
-        "words": {name: _word_document(lex.word(name)) for name in lex.words()},
-        "verbs": {
-            name: {
-                "subject_space": vt.subject_space,
-                "object_space": vt.object_space,
-                "rows": _format_matrix(vt.table),
-            }
-            for name, vt in ((n, lex.verb_table(n)) for n in lex.verbs())
-        },
+def _verb_document(vt: VerbTable) -> dict:
+    return {
+        "subject_space": vt.subject_space,
+        "object_space": vt.object_space,
+        "rows": _format_matrix(vt.table),
     }
+
+
+def _write_object(write, members) -> None:
+    """Write ``members`` as one JSON object, encoding one value at a time."""
+    write("{")
+    separator = ""
+    for key, value in members:
+        write(separator + _ENCODER.encode(key) + ":")
+        write(_ENCODER.encode(value))
+        separator = ","
+    write("}")
+
+
+def _write(lex: Lexicon, write) -> None:
+    registry = lex.registry
+    write('{"spaces":')
+    _write_object(
+        write,
+        (
+            (atom, {"dim": registry.dim(atom), "labels": list(registry.labels(atom))})
+            for atom in registry.atoms()
+        ),
+    )
+    write(',"words":')
+    _write_object(write, ((name, _word_document(lex.word(name))) for name in lex.words()))
+    write(',"verbs":')
+    _write_object(write, ((name, _verb_document(lex.verb_table(name))) for name in lex.verbs()))
+    write("}")
+
+
+def save(lex: Lexicon, destination: str | Path | IO[str]):
+    """Write the lexicon as compact one-line JSON, one entry at a time.
+
+    Word operators are stored as full matrices of 17-digit decimal strings.
+    Only one word's or verb's document is held in memory at once.
+    """
     if hasattr(destination, "write"):
-        json.dump(document, destination, indent=2)
+        _write(lex, destination.write)
     else:
         with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
+            _write(lex, handle.write)
 
 
 # The key under which each word kind stores its data.
@@ -242,7 +277,11 @@ _DATA_KEYS = {"pure": "vector", "subsets": "records", "matrix": "matrix"}
 
 # Numbers are ASCII decimal strings, matched whole; ``float()`` alone would
 # also take "nan", "inf", "+1", "1_0", " 1", "1\n" and non-ASCII digits.
-_DECIMAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+# A number string matches in one way only, so a failed match over a joined
+# array takes time linear in its length.
+_DECIMAL_TEXT = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+_DECIMAL = re.compile(_DECIMAL_TEXT)
+_DECIMALS = re.compile(f"{_DECIMAL_TEXT}(?:,{_DECIMAL_TEXT})*")
 
 
 def _object(value, path: str, keys: Sequence[str] | None = None) -> dict:
@@ -279,6 +318,19 @@ def _number(value, path: str) -> float:
 
 
 def _numbers(value, path: str) -> list[float]:
+    """A non-empty array of number strings, checked in one regex pass.
+
+    An array that fails the joined check goes through ``_number`` entry by
+    entry, so the error names the first bad entry's path.
+    """
+    if isinstance(value, list) and value:
+        try:
+            joined = ",".join(value)
+        except TypeError:
+            pass
+        else:
+            if joined.count(",") == len(value) - 1 and _DECIMALS.fullmatch(joined):
+                return list(map(float, value))
     return _array(value, path, _number)
 
 

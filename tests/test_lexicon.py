@@ -10,6 +10,7 @@ from densem.compose import SpaceRegistry, WordMeaning
 from densem.density import DensityMatrix, pure
 from densem.errors import (
     LexiconFormatError,
+    NumericFailure,
     RegistryError,
     ShapeError,
     UnknownWordError,
@@ -25,6 +26,7 @@ from densem.lexicon import (
     save,
     taxonomy_mix,
 )
+from densem.pregroup import format_type
 from densem.spectral import eigh
 
 PUB_SPACE = ("pub", "pitcher", "tonic")
@@ -241,8 +243,21 @@ class TestPersistence:
         lex = Lexicon(registry)
         awkward = np.array([[1.0 / 3.0, 1e-17], [1e-17, 0.1 + 0.2]])
         lex.add_word(WordMeaning.for_type(registry, "w", "n", DensityMatrix(awkward)))
+        table = np.array([[-1.0 / 3.0, 5e-324], [1.7976931348623157e308, -0.0]])
+        lex.add_verb_table("v", VerbTable("n", "n", table))
         loaded = self.roundtrip(lex)
         np.testing.assert_array_equal(loaded.word("w").dm.matrix, (awkward + awkward.T) / 2)
+        np.testing.assert_array_equal(loaded.verb_table("v").table, table)
+        assert np.signbit(loaded.verb_table("v").table[1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_verb_table_is_refused(self, bad):
+        lex = beer_lexicon()
+        table = np.ones((3, 3))
+        table[1, 2] = bad
+        with pytest.raises(NumericFailure, match="non-finite"):
+            lex.add_verb_table("drink", VerbTable("n", "n", table))
+        assert lex.verbs() == ()
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "lex.json"
@@ -277,6 +292,106 @@ class TestPersistence:
         np.testing.assert_allclose(
             lex.word("lager").dm.matrix, [[36.0, 30.0], [30.0, 25.0]]
         )
+
+
+def _awkward_lexicon():
+    """Words of two types, a non-ASCII name, awkward floats and a verb table."""
+    lex = beer_lexicon()
+    lex.registry.register("s", ("true", "false"))
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((6, 6)) * np.logspace(-150, 150, 6)
+    lex.add_word(WordMeaning.for_type(lex.registry, "café", "n s", DensityMatrix(a @ a.T)))
+    table = np.array([[1.0 / 3.0, 0.0, -0.0], [0.1 + 0.2, 1e-300, 5e-324], [1e300, 2.0, 7.0]])
+    lex.add_verb_table("drink", VerbTable("n", "n", table))
+    return lex
+
+
+def _indented_document(lex):
+    """The document exactly as ``json.dump(document, handle, indent=2)`` wrote it
+    before ``save`` streamed compact entries: every number ``format(x, ".17g")``."""
+
+    def strings(m):
+        return [[format(float(x), ".17g") for x in row] for row in np.asarray(m)]
+
+    registry = lex.registry
+    return {
+        "spaces": {
+            atom: {"dim": registry.dim(atom), "labels": list(registry.labels(atom))}
+            for atom in registry.atoms()
+        },
+        "words": {
+            name: {
+                "type": format_type(lex.word(name).ptype),
+                "kind": "matrix",
+                "data": {"matrix": strings(lex.word(name).dm.matrix)},
+            }
+            for name in lex.words()
+        },
+        "verbs": {
+            name: {
+                "subject_space": lex.verb_table(name).subject_space,
+                "object_space": lex.verb_table(name).object_space,
+                "rows": strings(lex.verb_table(name).table),
+            }
+            for name in lex.verbs()
+        },
+    }
+
+
+def _assert_same_lexicon(loaded, original):
+    assert loaded.words() == original.words()
+    assert loaded.verbs() == original.verbs()
+    for name in original.words():
+        np.testing.assert_array_equal(loaded.word(name).dm.matrix, original.word(name).dm.matrix)
+        assert loaded.word(name).ptype == original.word(name).ptype
+    for name in original.verbs():
+        np.testing.assert_array_equal(
+            loaded.verb_table(name).table, original.verb_table(name).table
+        )
+
+
+class _RecordingFile:
+    """A text sink that keeps every ``write`` call's argument."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+class TestStreamedSave:
+    def test_indented_layout_still_loads_bit_exact(self):
+        lex = _awkward_lexicon()
+        text = json.dumps(_indented_document(lex), indent=2)
+        _assert_same_lexicon(load(io.StringIO(text)), lex)
+
+    def test_same_document_and_key_order_through_path_and_file(self, tmp_path):
+        lex = _awkward_lexicon()
+        document = _indented_document(lex)
+        buffer = io.StringIO()
+        save(lex, buffer)
+        path = tmp_path / "lex.json"
+        save(lex, path)
+        for text in (buffer.getvalue(), path.read_text(encoding="utf-8")):
+            assert "\n" not in text
+            # Dumping preserves key order, so equal dumps mean equal order too.
+            assert json.dumps(json.loads(text)) == json.dumps(document)
+        assert path.read_text(encoding="utf-8") == buffer.getvalue()
+
+    def test_writes_one_entry_at_a_time(self):
+        lex = _awkward_lexicon()
+        sink = _RecordingFile()
+        save(lex, sink)
+        document = json.loads("".join(sink.writes))
+        longest = max(
+            len(json.dumps(entry, separators=(",", ":")))
+            for section in document.values()
+            for entry in section.values()
+        )
+        assert len(sink.writes) > 1
+        assert max(map(len, sink.writes)) <= longest
 
 
 def _set(*keys):
@@ -494,3 +609,56 @@ class TestSchemaErrors:
             }
 
         self.expect_path(self.make(mutate), "$.verbs.v.rows")
+
+
+# Entries that the joined one-pass check must send to the per-entry check.
+BAD_NUMBERS = [1, None, True, "nan", "inf", "+1", " 1", "1\n", "1_0", "\u0661", "1,2", "", "1e", "."]
+
+
+class TestNumberArrays:
+    """A bad entry at index 5 of a 16-entry row gets the per-entry message and path."""
+
+    def document(self, place, bad):
+        row = ["0.5"] * 16
+        row[5] = bad
+        rows = [["0"] * 16 for _ in range(16)]
+        rows[3] = row
+        words, verbs = {}, {}
+        if place == "matrix":
+            words["w"] = {"type": "n", "kind": "matrix", "data": {"matrix": rows}}
+        elif place == "verb":
+            verbs["v"] = {"subject_space": "n", "object_space": "n", "rows": rows}
+        else:
+            words["w"] = {"type": "n", "kind": "pure", "data": {"vector": row}}
+        labels = [f"f{i}" for i in range(16)]
+        return json.dumps(
+            {"spaces": {"n": {"dim": 16, "labels": labels}}, "words": words, "verbs": verbs}
+        )
+
+    @pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+    @pytest.mark.parametrize(
+        "place, path",
+        [
+            ("matrix", "$.words.w.data.matrix[3][5]"),
+            ("verb", "$.verbs.v.rows[3][5]"),
+            ("vector", "$.words.w.data.vector[5]"),
+        ],
+    )
+    def test_bad_entry_is_named(self, place, path, bad):
+        with pytest.raises(LexiconFormatError) as err:
+            load(io.StringIO(self.document(place, bad)))
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: {bad!r} is not a decimal number string"
+
+    def test_every_number_form_converts_exactly(self):
+        forms = ["-0", "1.", ".5", "00012", "1e-300", "2.5E+3", "0.30000000000000004", "5e-324"]
+        rows = [forms] + [["0"] * len(forms) for _ in forms[1:]]
+        labels = [f"f{i}" for i in range(len(forms))]
+        document = {
+            "spaces": {"n": {"dim": len(forms), "labels": labels}},
+            "words": {},
+            "verbs": {"v": {"subject_space": "n", "object_space": "n", "rows": rows}},
+        }
+        first = load(io.StringIO(json.dumps(document))).verb_table("v").table[0]
+        assert first.tolist() == [float(x) for x in forms]
+        assert np.signbit(first[0])
