@@ -34,7 +34,6 @@ from .errors import (
     DegenerateInputError,
     DensemError,
     LexiconFormatError,
-    NotPositiveError,
     NumericFailure,
     RegistryError,
     ShapeError,
@@ -75,7 +74,6 @@ __all__ = [
     "INFINITE",
     "Lexicon",
     "LexiconFormatError",
-    "NotPositiveError",
     "NumericFailure",
     "PairRecord",
     "PregroupType",

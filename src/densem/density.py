@@ -157,10 +157,12 @@ def fidelity(
     """
     _require_same_dim(rho, sigma)
     tol = tol or DEFAULT_TOL
-    r = rho.normalized()
-    s = sigma.normalized()
-    root = spectral.mat_sqrt(r.eigensystem(), tol)
-    inner = root @ s._m @ root
+    es = rho.normalized().eigensystem()
+    # H = V sqrt(lambda), over every column of rho's eigensystem so that F stays
+    # symmetric near the rank cut, gives H^T sigma H = V^T (sqrt(rho) sigma
+    # sqrt(rho)) V: the same eigenvalues.  Round-off below zero counts as zero.
+    half = es.vectors * np.sqrt(np.clip(es.values, 0.0, None))
+    inner = half.T @ sigma.normalized()._m @ half
     # The product is symmetric in exact arithmetic.  Average away its round-off
     # asymmetry, which on orthogonal supports is as large as every entry and
     # so fails the symmetry check, relative to the largest entry, in ``eigh``.

@@ -9,10 +9,6 @@ class ShapeError(DensemError):
     """Operands have incompatible dimensions or malformed shapes."""
 
 
-class NotPositiveError(DensemError):
-    """A matrix required to be positive semidefinite is not, beyond tolerance."""
-
-
 class DegenerateInputError(DensemError):
     """Zero vector, zero trace, or otherwise degenerate input."""
 

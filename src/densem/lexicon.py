@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -158,15 +158,18 @@ class Lexicon:
         return self
 
     def add_verb_table(self, name: str, verb: VerbTable) -> "Lexicon":
+        """Add ``verb`` under ``name``, keeping a read-only copy of its table."""
+        table = np.array(verb.table, dtype=float)
+        table.setflags(write=False)
         expected = (self.registry.dim(verb.subject_space), self.registry.dim(verb.object_space))
-        if verb.table.shape != expected:
+        if table.shape != expected:
             raise ShapeError(
-                f"verb {name!r}: table shape {verb.table.shape} disagrees with"
+                f"verb {name!r}: table shape {table.shape} disagrees with"
                 f" space dims {expected}"
             )
-        if not np.all(np.isfinite(verb.table)):
+        if not np.all(np.isfinite(table)):
             raise NumericFailure(f"verb {name!r}: table has non-finite entries")
-        self._verbs[name] = verb
+        self._verbs[name] = replace(verb, table=table)
         return self
 
     def word(self, name: str) -> WordMeaning:

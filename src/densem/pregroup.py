@@ -170,9 +170,7 @@ def reduce(
 def _reduce(
     seq: tuple[PregroupType, ...], target: PregroupType
 ) -> Optional[ReductionDiagram]:
-    source = PregroupType(())
-    for ptype in seq:
-        source = source + ptype
+    source = PregroupType(tuple(s for ptype in seq for s in ptype.simples))
     n = len(source.simples)
     try:
         found = _search(source.simples, target.simples)
@@ -195,40 +193,26 @@ def _search(
     simples: tuple[SimpleType, ...], wanted: tuple[SimpleType, ...]
 ) -> Optional[tuple[tuple[int, int], ...]]:
     """The least links that leave exactly ``wanted`` from ``simples``, or ``None``."""
-    n = len(simples)
-
     @functools.cache
-    def closed(a: int, b: int) -> Optional[tuple[tuple[int, int], ...]]:
-        """The least links contracting positions [a, b) to the unit, or ``None``."""
-        if a == b:
-            return ()
-        for j in range(a + 1, b, 2):
-            if contractible(simples[a], simples[j]):
-                inner = closed(a + 1, j)
-                rest = None if inner is None else closed(j + 1, b)
-                if rest is not None:
-                    return ((a, j),) + inner + rest
-        return None
+    def links(i: int, end: int, t: int) -> Optional[tuple[tuple[int, int], ...]]:
+        """The least links leaving exactly ``wanted[t:]`` from [i, end), or ``None``.
 
-    @functools.cache
-    def links(i: int, t: int) -> Optional[tuple[tuple[int, int], ...]]:
-        """The least links leaving exactly ``wanted[t:]`` from [i, n), or ``None``.
-
-        A residual is kept at ``i`` only when no link from ``i`` fits.
+        ``t == len(wanted)`` asks for [i, end) to contract to the unit.  A
+        residual is kept at ``i`` only when no link from ``i`` fits.
         """
-        if i == n:
+        if i == end:
             return () if t == len(wanted) else None
-        for j in range(i + 1, n, 2):
+        for j in range(i + 1, end, 2):
             if contractible(simples[i], simples[j]):
-                inner = closed(i + 1, j)
-                rest = None if inner is None else links(j + 1, t)
+                inner = links(i + 1, j, len(wanted))
+                rest = None if inner is None else links(j + 1, end, t)
                 if rest is not None:
                     return ((i, j),) + inner + rest
         if t < len(wanted) and simples[i] == wanted[t]:
-            return links(i + 1, t + 1)
+            return links(i + 1, end, t + 1)
         return None
 
-    return links(0, 0)
+    return links(0, len(simples), 0)
 
 
 def is_grammatical(seq: Iterable[PregroupType], sentence_atom: str = "s") -> bool:

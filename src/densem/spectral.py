@@ -1,11 +1,11 @@
-"""Dense symmetric-matrix kernel: eigendecomposition and the operator square root.
+"""Dense symmetric-matrix kernel: validation, eigendecomposition and the rank cut.
 
 Everything downstream (similarity and entailment measures, composition)
 reduces to spectral manipulations of small real symmetric matrices, so this
-module provides exactly that and nothing more: a deterministic wrapper
-around the LAPACK symmetric eigensolver, the rank cut, and the operator
-square root of an already computed ``EigenSystem``.  All functions are pure
-and operate on plain ``numpy`` arrays; only ``eigh`` decomposes anything.
+module provides exactly that and nothing more: the symmetry check, a
+deterministic wrapper around the LAPACK symmetric eigensolver, and the rank
+cut on its eigenvalues.  All functions are pure and operate on plain
+``numpy`` arrays; only ``eigh`` decomposes anything.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveError, NumericFailure, ShapeError
+from .errors import NumericFailure, ShapeError
 
 SYMMETRY_TOL = 1e-12
 
@@ -110,16 +110,3 @@ def rank_cutoff(values: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
     top = float(values[0]) if len(values) else 0.0
     return tol.rank_cut * max(top, 0.0)
 
-
-def mat_sqrt(es: EigenSystem, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Operator square root of a PSD matrix from its eigensystem.
-
-    Eigenvalues in ``[-rank_cut * lambda_max, 0)`` are clamped to zero;
-    anything more negative means the input is not PSD and raises.
-    """
-    if es.values[-1] < -rank_cutoff(es.values, tol):
-        raise NotPositiveError(
-            f"matrix has eigenvalue {es.values[-1]:.6e}, below the PSD tolerance"
-        )
-    root = (es.vectors * np.sqrt(np.clip(es.values, 0.0, None))) @ es.vectors.T
-    return (root + root.T) / 2.0

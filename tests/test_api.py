@@ -17,7 +17,6 @@ PACKAGE_API = [
     "INFINITE",
     "Lexicon",
     "LexiconFormatError",
-    "NotPositiveError",
     "NumericFailure",
     "PairRecord",
     "PregroupType",
@@ -59,7 +58,6 @@ SPECTRAL_CALLABLES = [
     "EigenSystem",
     "Tolerance",
     "eigh",
-    "mat_sqrt",
     "rank_cutoff",
     "symmetrize",
 ]

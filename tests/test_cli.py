@@ -140,6 +140,24 @@ class TestSim:
         )
         assert result.exit_code == 0
 
+    def test_strict_tol_on_rank_deficient_words(self, runner, tmp_path):
+        # Kernel eigenvalues of these mixtures are round-off of either sign,
+        # far above a 1e-17 relative cut; a strict --tol must still score them.
+        rng = np.random.default_rng(5)
+        registry = SpaceRegistry().register("n", tuple(f"f{i}" for i in range(16)))
+        lex = Lexicon(registry)
+        for name, rank in (("a", 3), ("b", 2)):
+            parts = [pure(rng.standard_normal(16)) for _ in range(rank)]
+            dm = mixture(rng.uniform(0.5, 2.0, rank), parts)
+            lex.add_word(WordMeaning.for_type(registry, name, "n", dm))
+        path = tmp_path / "lex.json"
+        save(lex, path)
+        for pair in (["a", "b"], ["b", "a"]):
+            args = ["sim", str(path), *pair, "--tol", "1e-17", "--json"]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert 0.0 <= json.loads(result.output)["fidelity"] <= 1.0
+
     @pytest.mark.parametrize("bad", ["0", "1.5", "nan"])
     def test_tol_out_of_range_is_usage_error(self, runner, lexicon_path, bad):
         result = runner.invoke(main, ["sim", lexicon_path, "lager", "beer", "--tol", bad])

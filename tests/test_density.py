@@ -28,7 +28,7 @@ from densem.density import (
 )
 from densem import density, spectral
 from densem.errors import DegenerateInputError, NumericFailure, ShapeError
-from densem.spectral import DEFAULT_TOL, eigh
+from densem.spectral import DEFAULT_TOL, Tolerance, eigh
 from oracles import support_projector_oracle
 
 
@@ -228,6 +228,24 @@ class TestFidelity:
             sigma = DensityMatrix(q[:, split:] @ q[:, split:].T)
             assert fidelity(rho, sigma) <= 1e-6
             assert classify(rho, sigma).relation is Relation.INCOMPARABLE
+
+    def test_strict_tolerance_accepts_kernel_round_off(self):
+        # A rank-3 operator's kernel eigenvalues are round-off of either sign,
+        # far above a 1e-17 relative cut; they are not a PSD violation.
+        rng = np.random.default_rng(47)
+        strict = Tolerance(rank_cut=1e-17)
+        for _ in range(20):
+            rho = random_density(rng, 16, rank=3)
+            assert abs(fidelity(rho, rho, tol=strict) - 1.0) <= 1e-12
+
+    def test_symmetric_below_the_rank_cut(self):
+        # rho's weight 1e-10 lies below the default rank cut, and all of sigma
+        # lies there; both orders must still give the closed form.
+        rho = DensityMatrix(np.diag([1.0, 1e-10]))
+        sigma = DensityMatrix(np.diag([0.0, 1.0]))
+        expected = math.sqrt(1e-10 / (1.0 + 1e-10))
+        assert abs(fidelity(rho, sigma) - expected) <= 1e-14
+        assert abs(fidelity(sigma, rho) - expected) <= 1e-14
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):

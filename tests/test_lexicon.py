@@ -259,6 +259,15 @@ class TestPersistence:
             lex.add_verb_table("drink", VerbTable("n", "n", table))
         assert lex.verbs() == ()
 
+    def test_verb_table_is_copied_on_add(self):
+        lex = beer_lexicon()
+        table = np.ones((3, 3))
+        lex.add_verb_table("drink", VerbTable("n", "n", table))
+        table[0, 1] = np.nan
+        assert not lex.verb_table("drink").table.flags.writeable
+        loaded = self.roundtrip(lex)
+        np.testing.assert_array_equal(loaded.verb_table("drink").table, np.ones((3, 3)))
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "lex.json"
         save(beer_lexicon(), path)

@@ -9,12 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from densem.errors import NotPositiveError, NumericFailure, ShapeError
+from densem.errors import NumericFailure, ShapeError
 from densem.spectral import (
     DEFAULT_TOL,
     Tolerance,
     eigh,
-    mat_sqrt,
     symmetrize,
 )
 
@@ -29,11 +28,6 @@ def eig2_oracle(a, b, c):
 def random_symmetric(rng, dim, scale=1.0):
     a = rng.uniform(-scale, scale, size=(dim, dim))
     return (a + a.T) / 2.0
-
-
-def random_psd(rng, dim):
-    b = rng.standard_normal((dim, dim))
-    return b.T @ b
 
 
 class TestSymmetrize:
@@ -150,37 +144,6 @@ class TestEigh:
         a = np.array([[13.0, 7.0], [7.0, 7.0]])
         eigh(a)
         np.testing.assert_array_equal(a, [[13.0, 7.0], [7.0, 7.0]])
-
-
-class TestMatSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(mat_sqrt(eigh(np.eye(3))), np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            mat_sqrt(eigh(np.diag([4.0, 9.0]))), np.diag([2.0, 3.0]), atol=1e-12
-        )
-
-    def test_square_recovers_input(self):
-        a = np.array([[13.0, 7.0], [7.0, 7.0]]) / 20.0
-        root = mat_sqrt(eigh(a))
-        np.testing.assert_allclose(root @ root, a, atol=1e-10)
-
-    def test_square_recovers_random_psd(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            dim = int(rng.integers(1, 7))
-            a = random_psd(rng, dim)
-            root = mat_sqrt(eigh(a))
-            assert np.max(np.abs(root @ root - a)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveError):
-            mat_sqrt(eigh(np.diag([1.0, -1.0])))
-
-    def test_clamps_tiny_negative(self):
-        out = mat_sqrt(eigh(np.diag([1.0, -1e-12])))
-        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-6)
 
 
 class TestTolerance:
