@@ -35,6 +35,11 @@ class DensityMatrix:
     Composition outputs legitimately carry trace below 1, so normalization
     is never implicit here; the measure functions normalize their inputs
     themselves, and ``normalized()`` returns an explicit unit-trace copy.
+
+    The stored matrix is bitwise symmetric: every construction path stores
+    ``spectral.symmetrize``'s ``(a + aT)/2``, and IEEE addition commutes,
+    signed zeros included, so ``m[i, j]`` and ``m[j, i]`` hold the same bits.
+    ``lexicon.save`` formats only the upper triangle because of this.
     """
 
     __slots__ = ("_m", "_eig", "_source")

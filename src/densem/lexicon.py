@@ -9,8 +9,10 @@ subject/object vector pairs.
 The on-disk form is a JSON document with three sections: ``spaces``,
 ``words``, and ``verbs``.  Matrix entries are stored as decimal strings
 with 17 significant digits so double-precision values round-trip exactly.
-``save`` writes compact one-line JSON, one entry at a time; ``load`` reads
-any JSON layout of the same document, indented files included.
+``save`` writes compact one-line JSON, one entry at a time, and formats
+each distinct number once: a word operator is stored bitwise symmetric, so
+only its upper triangle is formatted.  ``load`` reads any JSON layout of
+the same document, indented files included.
 """
 
 from __future__ import annotations
@@ -207,40 +209,61 @@ def taxonomy_mix(children: Sequence[tuple[str, float]], lex: Lexicon) -> Density
 
 # --- serialization ---------------------------------------------------------
 
-# The same text as ``format(x, ".17g")``, mapped over a row in one C call.
-_FORMAT_NUMBER = "%.17g".__mod__
-
 # Without indent, ``encode`` runs CPython's C encoder; ``json.dump`` never does.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def _format_matrix(m: np.ndarray) -> list[list[str]]:
-    return [list(map(_FORMAT_NUMBER, row)) for row in np.asarray(m).tolist()]
+def _space_text(registry: SpaceRegistry, atom: str) -> str:
+    return _ENCODER.encode({"dim": registry.dim(atom), "labels": list(registry.labels(atom))})
 
 
-def _word_document(meaning: WordMeaning) -> dict:
-    return {
-        "type": format_type(meaning.ptype),
-        "kind": "matrix",
-        "data": {"matrix": _format_matrix(meaning.dm.matrix)},
-    }
+def _format_numbers(values: list[float]) -> list[str]:
+    """``format(x, ".17g")`` of every ``x`` in ``values``, made in one C call."""
+    return ("%.17g " * len(values) % tuple(values)).split()
 
 
-def _verb_document(vt: VerbTable) -> dict:
-    return {
-        "subject_space": vt.subject_space,
-        "object_space": vt.object_space,
-        "rows": _format_matrix(vt.table),
-    }
+def _rows_text(text: np.ndarray) -> str:
+    """A 2-D object array of number strings as JSON; they need no escaping."""
+    return '[["' + '"],["'.join(map('","'.join, text.tolist())) + '"]]'
+
+
+def _word_text(meaning: WordMeaning) -> str:
+    """The word's JSON document, each distinct entry formatted once.
+
+    A stored operator is bitwise symmetric, so its upper triangle is
+    formatted and the strings are mirrored below the diagonal.
+    """
+    m = meaning.dm.matrix
+    upper = np.triu_indices(m.shape[0])
+    strings = np.array(_format_numbers(m[upper].tolist()), dtype=object)
+    text = np.empty(m.shape, dtype=object)
+    text[upper] = strings
+    text[upper[::-1]] = strings
+    return (
+        '{"type":' + _ENCODER.encode(format_type(meaning.ptype))
+        + ',"kind":"matrix","data":{"matrix":' + _rows_text(text) + "}}"
+    )
+
+
+def _verb_text(vt: VerbTable) -> str:
+    """The verb table's JSON document; the table is not symmetric."""
+    strings = _format_numbers(vt.table.ravel().tolist())
+    text = np.array(strings, dtype=object).reshape(vt.table.shape)
+    return (
+        '{"subject_space":' + _ENCODER.encode(vt.subject_space)
+        + ',"object_space":' + _ENCODER.encode(vt.object_space)
+        + ',"rows":' + _rows_text(text) + "}"
+    )
 
 
 def _write_object(write, members) -> None:
-    """Write ``members`` as one JSON object, encoding one value at a time."""
+    """Write ``members``, pairs of a key and its value's JSON text, as one
+    JSON object, one member at a time."""
     write("{")
     separator = ""
-    for key, value in members:
+    for key, text in members:
         write(separator + _ENCODER.encode(key) + ":")
-        write(_ENCODER.encode(value))
+        write(text)
         separator = ","
     write("}")
 
@@ -248,25 +271,20 @@ def _write_object(write, members) -> None:
 def _write(lex: Lexicon, write) -> None:
     registry = lex.registry
     write('{"spaces":')
-    _write_object(
-        write,
-        (
-            (atom, {"dim": registry.dim(atom), "labels": list(registry.labels(atom))})
-            for atom in registry.atoms()
-        ),
-    )
+    _write_object(write, ((atom, _space_text(registry, atom)) for atom in registry.atoms()))
     write(',"words":')
-    _write_object(write, ((name, _word_document(lex.word(name))) for name in lex.words()))
+    _write_object(write, ((name, _word_text(lex.word(name))) for name in lex.words()))
     write(',"verbs":')
-    _write_object(write, ((name, _verb_document(lex.verb_table(name))) for name in lex.verbs()))
+    _write_object(write, ((name, _verb_text(lex.verb_table(name))) for name in lex.verbs()))
     write("}")
 
 
 def save(lex: Lexicon, destination: str | Path | IO[str]):
     """Write the lexicon as compact one-line JSON, one entry at a time.
 
-    Word operators are stored as full matrices of 17-digit decimal strings.
-    Only one word's or verb's document is held in memory at once.
+    Word operators are stored as full matrices of 17-digit decimal strings,
+    though each distinct entry of one is formatted only once. Only one
+    word's or verb's document is held in memory at once.
     """
     if hasattr(destination, "write"):
         _write(lex, destination.write)

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from densem.compose import SpaceRegistry, WordMeaning
-from densem.density import DensityMatrix, pure
+from densem import lexicon
+from densem.compose import SpaceRegistry, WordMeaning, compose, compose_kronecker
+from densem.density import DensityMatrix, mixture, pure
 from densem.errors import (
     LexiconFormatError,
     NumericFailure,
@@ -26,8 +27,8 @@ from densem.lexicon import (
     save,
     taxonomy_mix,
 )
-from densem.pregroup import format_type
-from densem.spectral import eigh
+from densem.pregroup import format_type, parse_type, reduce
+from densem.spectral import SYMMETRY_TOL, eigh
 
 PUB_SPACE = ("pub", "pitcher", "tonic")
 
@@ -401,6 +402,110 @@ class TestStreamedSave:
         )
         assert len(sink.writes) > 1
         assert max(map(len, sink.writes)) <= longest
+
+
+def _psd_input(rng, n):
+    """A diagonally dominant, hence PSD, n x n matrix; from n = 2 on, -0.0
+    faces 0.0 across the diagonal, and from n = 3 on, -0.0 faces -0.0."""
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    m = (a + a.T) / 2.0 + n * np.eye(n)
+    if n >= 2:
+        m[0, 1], m[1, 0] = -0.0, 0.0
+    if n >= 3:
+        m[0, 2] = m[2, 0] = -0.0
+    return m
+
+
+def _seeded_lexicon(scale):
+    """Seeded words of dims 1, 2, 3, 16, 17 and 128 and a 3x5 verb table,
+    all scaled by ``scale``."""
+    registry = SpaceRegistry()
+    lex = Lexicon(registry)
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3, 16, 17, 128):
+        registry.register(f"d{n}", [f"e{i}" for i in range(n)])
+        dm = DensityMatrix(_psd_input(rng, n) * scale)
+        lex.add_word(WordMeaning.for_type(registry, f"w{n}", f"d{n}", dm))
+    registry.register("d5", [f"e{i}" for i in range(5)])
+    table = rng.standard_normal((3, 5)) * scale
+    table[0, :3] = 0.0, -0.0, 5e-324
+    lex.add_verb_table("v", VerbTable("d3", "d5", table))
+    return lex
+
+
+class TestExactText:
+    """``save`` writes the compact dump of the reference document byte for
+    byte, though it formats each word's upper triangle only."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [_awkward_lexicon, lambda: _seeded_lexicon(1e300), lambda: _seeded_lexicon(1e-300)],
+        ids=["awkward", "seeded-1e300", "seeded-1e-300"],
+    )
+    def test_text_equals_reference_dump(self, make):
+        lex = make()
+        buffer = io.StringIO()
+        save(lex, buffer)
+        text = buffer.getvalue()
+        assert text == json.dumps(_indented_document(lex), separators=(",", ":"))
+        assert '"-0"' in text and '"0"' in text
+
+
+class TestFormatCount:
+    def test_each_distinct_entry_formatted_once(self, monkeypatch):
+        counts = []
+        original = lexicon._format_numbers
+
+        def counting_format(values):
+            counts.append(len(values))
+            return original(values)
+
+        monkeypatch.setattr(lexicon, "_format_numbers", counting_format)
+        save(_seeded_lexicon(1.0), io.StringIO())
+        # n(n+1)/2 per n-dim word, then r*c for the 3x5 verb table.
+        assert counts == [1, 3, 6, 136, 153, 8256, 15]
+        counts.clear()
+        save(_awkward_lexicon(), io.StringIO())
+        assert counts == [6, 6, 6, 21, 9]
+
+
+class TestStoredOperatorsAreBitwiseSymmetric:
+    """``save`` formats only the upper triangle, so each construction path
+    must store a matrix whose bits equal its transpose's."""
+
+    def test_every_path_stores_a_bitwise_symmetric_matrix(self):
+        rng = np.random.default_rng(26)
+        raw = _psd_input(rng, 5)
+        skewed = raw.copy()
+        skewed[2, 3] += 0.5 * SYMMETRY_TOL * abs(raw).max()
+        assert np.signbit(raw[0, 1]) != np.signbit(raw[1, 0])
+        assert not np.array_equal(skewed, skewed.T)
+        public = DensityMatrix(raw)
+
+        registry = SpaceRegistry().register("n", ("a", "b", "c")).register("s", ("t", "f", "u"))
+        words = [
+            WordMeaning.for_type(registry, "x", "n", DensityMatrix(_psd_input(rng, 3))),
+            WordMeaning.for_type(registry, "v", "n^r s n^l", pure(rng.standard_normal(27))),
+            WordMeaning.for_type(registry, "y", "n", pure(rng.standard_normal(3))),
+        ]
+        diagram = reduce([w.ptype for w in words], parse_type("s"))
+        operators = {
+            "constructor, -0.0 opposite 0.0": public,
+            "constructor, skew within SYMMETRY_TOL": DensityMatrix(skewed),
+            "_trusted": DensityMatrix._trusted(skewed),
+            "normalized": public.normalized(),
+            "scaled": public.scaled(1.0 / 3.0),
+            "pure": pure(rng.standard_normal(6)),
+            "mixture": mixture([0.3, 1.7], [public, DensityMatrix._trusted(skewed)]),
+            "build_from_subsets": build_from_subsets(beer_records(), PUB_SPACE),
+            "taxonomy_mix": taxonomy_mix([("lager", 1.0), ("beer", 2.0)], beer_lexicon()),
+            "compose": compose(words, diagram, registry).dm,
+            "compose_kronecker": compose_kronecker(
+                rng.standard_normal((3, 3)), words[0].dm, DensityMatrix(_psd_input(rng, 3))
+            ),
+        }
+        bits = {name: dm.matrix.view(np.uint64) for name, dm in operators.items()}
+        assert [name for name, b in bits.items() if not np.array_equal(b, b.T)] == []
 
 
 def _set(*keys):
