@@ -21,12 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import DegenerateInputError, ShapeError
+from .errors import DegenerateInputError, DensemError, ShapeError
 from .spectral import DEFAULT_TOL, EigenSystem, Tolerance
 
 INFINITE = math.inf
 
 _NORMALIZED_ATOL = 1e-9
+
+# The largest dense operator, in bytes, that an input may make the package
+# build from fewer numbers than the operator holds.
+_MAX_OPERATOR_BYTES = 1 << 30
 
 
 class DensityMatrix:
@@ -37,20 +41,43 @@ class DensityMatrix:
     themselves, and ``normalized()`` returns an explicit unit-trace copy.
 
     The stored matrix is bitwise symmetric: every construction path stores
-    ``spectral.symmetrize``'s ``(a + aT)/2``, and IEEE addition commutes,
-    signed zeros included, so ``m[i, j]`` and ``m[j, i]`` hold the same bits.
-    ``lexicon.save`` formats only the upper triangle because of this.
+    ``(a + aT)/2``, and IEEE addition commutes, signed zeros included, so
+    ``m[i, j]`` and ``m[j, i]`` hold the same bits.  ``lexicon.save`` formats
+    only the upper triangle because of this.
+
+    The public constructor checks its input and decomposes it once, as the
+    one-matrix case of ``_stack``, which ``lexicon.load`` runs on every
+    matrix of one dimension at once; the stored matrix and the cached
+    eigensystem are then views into arrays of the whole stack.
     """
 
     __slots__ = ("_m", "_eig", "_source")
 
     def __init__(self, matrix):
-        self._set(matrix)
-        es = self.eigensystem()
-        if es.values[-1] < -spectral.rank_cutoff(es.values, DEFAULT_TOL):
-            raise DegenerateInputError(
-                f"matrix is not PSD: smallest eigenvalue {es.values[-1]:.6e}"
-            )
+        (dm,) = DensityMatrix._stack(np.asarray(matrix, dtype=float)[None])
+        if isinstance(dm, DensemError):
+            raise dm
+        self._m, self._eig, self._source = dm._m, dm._eig, None
+
+    @classmethod
+    def _stack(cls, stack: np.ndarray) -> list:
+        """``DensityMatrix(m)`` for each ``m`` of a ``(k, n, n)`` stack, with one
+        LAPACK call; a matrix that the constructor refuses gives its error."""
+        stored, systems = spectral._eigh_stack(stack)
+        stored.setflags(write=False)
+        out = []
+        for m, es in zip(stored, systems):
+            if isinstance(es, EigenSystem):
+                if es.values[-1] < -spectral.rank_cutoff(es.values, DEFAULT_TOL):
+                    es = DegenerateInputError(
+                        f"matrix is not PSD: smallest eigenvalue {es.values[-1]:.6e}"
+                    )
+                else:
+                    dm = object.__new__(cls)
+                    dm._m, dm._eig, dm._source = m, es, None
+                    es = dm
+            out.append(es)
+        return out
 
     @classmethod
     def _trusted(cls, matrix) -> "DensityMatrix":

@@ -12,7 +12,11 @@ with 17 significant digits so double-precision values round-trip exactly.
 ``save`` writes compact one-line JSON, one entry at a time, and formats
 each distinct number once: a word operator is stored bitwise symmetric, so
 only its upper triangle is formatted.  ``load`` reads any JSON layout of
-the same document, indented files included.
+the same document, indented files included.  It checks a number matrix a
+block of rows per regex pass and converts it in one call, and
+eigen-checks the ``matrix`` words once all are parsed: every matrix of one
+dimension in one LAPACK call, reporting the first refused word in document
+order.
 """
 
 from __future__ import annotations
@@ -21,14 +25,16 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .compose import SpaceRegistry, WordMeaning
-from .density import DensityMatrix, mixture, pure
+from .density import _MAX_OPERATOR_BYTES, DensityMatrix, mixture, pure
 from .errors import (
+    DensemError,
     LexiconFormatError,
     NumericFailure,
     RegistryError,
@@ -338,6 +344,12 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _decimals(joined: str, count: int) -> bool:
+    """Whether ``joined`` is ``count`` number strings joined by commas,
+    checked in one regex pass."""
+    return joined.count(",") == count - 1 and _DECIMALS.fullmatch(joined) is not None
+
+
 def _numbers(value, path: str) -> list[float]:
     """A non-empty array of number strings, checked in one regex pass.
 
@@ -346,13 +358,46 @@ def _numbers(value, path: str) -> list[float]:
     """
     if isinstance(value, list) and value:
         try:
-            joined = ",".join(value)
+            if _decimals(",".join(value), len(value)):
+                return list(map(float, value))
         except TypeError:
             pass
-        else:
-            if joined.count(",") == len(value) - 1 and _DECIMALS.fullmatch(joined):
-                return list(map(float, value))
     return _array(value, path, _number)
+
+
+# Python's ``re`` keeps about half a kilobyte for each number that the
+# repeated group of ``_DECIMALS`` matches, so a matrix is matched in blocks
+# of whole rows holding about this many numbers.
+_BLOCK = 256
+
+
+def _rows(value, path: str) -> np.ndarray:
+    """A non-empty array of equally long number arrays as an ``(r, c)`` float array.
+
+    A rectangle of strings is checked one block of rows per regex pass, a
+    16 x 16 matrix in one, and converted in one call.  Any other array goes
+    through ``_numbers`` row by row, so the error names the first bad
+    entry's path, or ``path`` when the rows differ in length.
+    """
+    if isinstance(value, list) and value and all(type(row) is list for row in value):
+        width = len(value[0])
+        step = max(1, _BLOCK // max(width, 1))
+        blocks = (value[i : i + step] for i in range(0, len(value), step))
+        try:
+            rectangle = (
+                width
+                and all(len(row) == width for row in value)
+                and all(_decimals(",".join(map(",".join, b)), len(b) * width) for b in blocks)
+            )
+        except TypeError:
+            rectangle = False
+        if rectangle:
+            numbers = map(float, chain.from_iterable(value))
+            return np.fromiter(numbers, float, len(value) * width).reshape(len(value), width)
+    rows = _array(value, path, _numbers)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise LexiconFormatError("rows have inconsistent lengths", path)
+    return np.array(rows)
 
 
 def _subset(value, path: str) -> tuple[frozenset[str], float]:
@@ -363,10 +408,12 @@ def _subset(value, path: str) -> tuple[frozenset[str], float]:
 
 
 def load(source: str | Path | IO[str]) -> Lexicon:
-    """Parse, check, and reconstruct a lexicon document in one pass.
+    """Parse, check, and reconstruct a lexicon document.
 
-    Violations raise ``LexiconFormatError`` carrying a path into the
-    document, e.g. ``$.words.beer.data.matrix[1][0]``.
+    One pass parses and format-checks the document; the eigen checks of
+    ``matrix`` words follow, so a format error anywhere is reported before
+    any word's PSD error.  Violations raise ``LexiconFormatError`` carrying
+    a path into the document, e.g. ``$.words.beer.data.matrix[1][0]``.
     """
     try:
         if hasattr(source, "read"):
@@ -397,7 +444,10 @@ def load(source: str | Path | IO[str]) -> Lexicon:
         except RegistryError as err:
             raise LexiconFormatError(str(err), path) from None
 
-    lex = Lexicon(registry)
+    # Each word as [name, type, wire dims, operator]; a matrix word's
+    # operator waits for the eigencheck of every matrix of its dimension.
+    entries = []
+    matrices: dict[int, list[tuple[int, np.ndarray]]] = {}
     for name, entry in _object(document["words"], "$.words").items():
         path = f"$.words.{name}"
         entry = _object(entry, path, ("type", "kind", "data"))
@@ -416,6 +466,14 @@ def load(source: str | Path | IO[str]) -> Lexicon:
         except Exception as err:
             raise LexiconFormatError(str(err), path + ".type") from None
         dim = math.prod(dims) if dims else 1
+        # A pure or subsets word builds n x n floats from O(n) numbers.
+        if kind != "matrix" and 8 * dim * dim > _MAX_OPERATOR_BYTES:
+            raise LexiconFormatError(
+                f"a {dim}x{dim} operator takes {8 * dim * dim} bytes, over the"
+                f" limit of {_MAX_OPERATOR_BYTES}",
+                path,
+            )
+        dm = None
         try:
             if kind == "pure":
                 vector = np.array(_numbers(data, data_path))
@@ -431,26 +489,34 @@ def load(source: str | Path | IO[str]) -> Lexicon:
                 ]
                 dm = build_from_subsets(records, registry.labels(ptype.simples[0].base))
             else:
-                matrix = np.array(_array(data, data_path, _numbers))
+                matrix = _rows(data, data_path)
                 if matrix.shape != (dim, dim):
                     raise ShapeError(f"matrix shape {matrix.shape}, expected ({dim}, {dim})")
-                dm = DensityMatrix(matrix)
-            lex.add_word(WordMeaning(word=name, ptype=ptype, dm=dm, wire_dims=dims))
+                matrices.setdefault(dim, []).append((len(entries), matrix))
         except LexiconFormatError:
             raise
         except Exception as err:
             raise LexiconFormatError(str(err), path + ".data") from None
+        entries.append([name, ptype, dims, dm])
+
+    # One eigencheck per dimension; the first refused word in document
+    # order is reported.
+    for group in matrices.values():
+        indices, stack = zip(*group)
+        for i, dm in zip(indices, DensityMatrix._stack(np.stack(stack))):
+            entries[i][3] = dm
+    lex = Lexicon(registry)
+    for name, ptype, dims, dm in entries:
+        if isinstance(dm, DensemError):
+            raise LexiconFormatError(str(dm), f"$.words.{name}.data")
+        lex.add_word(WordMeaning(word=name, ptype=ptype, dm=dm, wire_dims=dims))
 
     for name, entry in _object(document["verbs"], "$.verbs").items():
         path = f"$.verbs.{name}"
         entry = _object(entry, path, ("subject_space", "object_space", "rows"))
         subject_space = _string(entry["subject_space"], path + ".subject_space")
         object_space = _string(entry["object_space"], path + ".object_space")
-        rows = _array(entry["rows"], path + ".rows", _numbers)
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise LexiconFormatError("rows have inconsistent lengths", path + ".rows")
-        table = np.array(rows)
+        table = _rows(entry["rows"], path + ".rows")
         if not np.all(np.isfinite(table)):
             raise LexiconFormatError("rows have non-finite entries", path + ".rows")
         try:

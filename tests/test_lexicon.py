@@ -8,7 +8,7 @@ import pytest
 
 from densem import lexicon
 from densem.compose import SpaceRegistry, WordMeaning, compose, compose_kronecker
-from densem.density import DensityMatrix, mixture, pure
+from densem.density import DensityMatrix, classify, fidelity, mixture, pure
 from densem.errors import (
     LexiconFormatError,
     NumericFailure,
@@ -776,3 +776,171 @@ class TestNumberArrays:
         first = load(io.StringIO(json.dumps(document))).verb_table("v").table[0]
         assert first.tolist() == [float(x) for x in forms]
         assert np.signbit(first[0])
+
+
+def _matrix_document(words, verbs=None):
+    """A document of ``matrix`` words, each ``(name, type, rows)``, over the
+    spaces ``n`` (3 labels) and ``m`` (2 labels)."""
+    return json.dumps(
+        {
+            "spaces": {
+                "n": {"dim": 3, "labels": ["a", "b", "c"]},
+                "m": {"dim": 2, "labels": ["x", "y"]},
+            },
+            "words": {
+                name: {"type": ptype, "kind": "matrix", "data": {"matrix": rows}}
+                for name, ptype, rows in words
+            },
+            "verbs": verbs or {},
+        }
+    )
+
+
+def _diag(*values):
+    n = len(values)
+    return [[str(v) if i == j else "0" for j in range(n)] for i, v in enumerate(values)]
+
+
+NON_PSD = [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]
+
+
+class TestLoadDecompositionCount:
+    def test_one_lapack_call_per_dimension(self, monkeypatch):
+        registry = SpaceRegistry().register("n", PUB_SPACE).register("m", ("x", "y"))
+        lex = Lexicon(registry)
+        lex.add_word(WordMeaning.for_type(registry, "lager", "n", pure([6.0, 5.0, 0.0])))
+        beer = build_from_subsets(beer_records(), PUB_SPACE)
+        lex.add_word(WordMeaning.for_type(registry, "beer", "n", beer))
+        lex.add_word(WordMeaning.for_type(registry, "up", "m", pure([1.0, 2.0])))
+        lex.add_word(WordMeaning.for_type(registry, "down", "m", DensityMatrix(np.eye(2))))
+        lex.add_verb_table("v", VerbTable("m", "m", np.array([[1.0, 2.0], [3.0, 4.0]])))
+        buffer = io.StringIO()
+        save(lex, buffer)
+
+        calls = []
+        original = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        loaded = load(io.StringIO(buffer.getvalue()))
+        assert len(calls) == 2
+        lager, beer = loaded.word("lager").dm, loaded.word("beer").dm
+        classify(lager, beer)
+        assert len(calls) == 2
+        fidelity(lager, beer)
+        assert len(calls) == 3
+        DensityMatrix(np.eye(3))
+        assert len(calls) == 4
+
+
+class TestErrorAttribution:
+    """A fault in the 3rd of 5 same-dim words keeps its one-word message and path."""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (NON_PSD, "matrix is not PSD: smallest eigenvalue -1.000000e+00"),
+            (_diag("1e400", 1, 1), "3x3 matrix has non-finite entries"),
+            (
+                [["1", "0.5", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                "matrix is not symmetric: max |a - aT| = 5.000e-01",
+            ),
+        ],
+        ids=["non-psd", "overflowing-entry", "asymmetric"],
+    )
+    def test_third_of_five(self, rows, message):
+        words = [(f"w{i}", "n", _diag(i + 1, 1, 0)) for i in range(5)]
+        words[2] = ("w2", "n", rows)
+        with pytest.raises(LexiconFormatError) as err:
+            load(io.StringIO(_matrix_document(words)))
+        assert str(err.value) == f"$.words.w2.data: {message}"
+
+    def test_ragged_verb_rows_among_words(self):
+        words = [(f"w{i}", "n", _diag(i + 1, 1, 0)) for i in range(5)]
+        rows = [["1", "2", "3"], ["4", "5"], ["6", "7", "8"]]
+        verbs = {"v": {"subject_space": "n", "object_space": "n", "rows": rows}}
+        with pytest.raises(LexiconFormatError) as err:
+            load(io.StringIO(_matrix_document(words, verbs)))
+        assert str(err.value) == "$.verbs.v.rows: rows have inconsistent lengths"
+
+    def test_ragged_matrix_word(self):
+        ragged = [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]
+        words = [("w0", "n", _diag(1, 1, 0)), ("w1", "n", ragged)]
+        with pytest.raises(LexiconFormatError) as err:
+            load(io.StringIO(_matrix_document(words)))
+        assert str(err.value) == "$.words.w1.data.matrix: rows have inconsistent lengths"
+
+    def test_first_refused_word_in_document_order(self):
+        # w1 (dim 2) comes before w3 (dim 3), though their dimensions are
+        # checked in separate stacks.
+        words = [
+            ("w0", "n", _diag(1, 1, 0)),
+            ("w1", "m", [["0", "1"], ["1", "0"]]),
+            ("w2", "n", _diag(2, 1, 0)),
+            ("w3", "n", NON_PSD),
+            ("w4", "m", _diag(1, 2)),
+        ]
+        with pytest.raises(LexiconFormatError) as err:
+            load(io.StringIO(_matrix_document(words)))
+        assert err.value.path == "$.words.w1.data"
+        words[1] = ("w1", "m", _diag(1, 1))
+        with pytest.raises(LexiconFormatError) as err:
+            load(io.StringIO(_matrix_document(words)))
+        assert err.value.path == "$.words.w3.data"
+
+    def test_format_errors_come_before_eigen_checks(self):
+        # The eigen checks run once every word is parsed, so a later word's
+        # format error is reported before an earlier word's PSD error.
+        words = [(f"w{i}", "n", _diag(i + 1, 1, 0)) for i in range(5)]
+        words[1] = ("w1", "n", NON_PSD)
+        words[3] = ("w3", "n", [["x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+        with pytest.raises(LexiconFormatError) as err:
+            load(io.StringIO(_matrix_document(words)))
+        assert err.value.path == "$.words.w3.data.matrix[0][0]"
+
+
+class TestOversizedWord:
+    """A pure or subsets word is refused by its operator's size before it is built."""
+
+    def document(self, kind, dim):
+        if kind == "pure":
+            data = {"vector": ["1"] + ["0"] * (dim - 1)}
+        else:
+            data = {"records": [{"features": ["f0"], "count": "1"}]}
+        labels = [f"f{i}" for i in range(dim)]
+        return json.dumps(
+            {
+                "spaces": {"n": {"dim": dim, "labels": labels}},
+                "words": {"w": {"type": "n", "kind": kind, "data": data}},
+                "verbs": {},
+            }
+        )
+
+    @pytest.mark.parametrize("kind", ["pure", "subsets"])
+    def test_refused_before_allocating(self, kind, monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(1)
+            raise MemoryError
+
+        monkeypatch.setattr(np, "outer", refuse)
+        monkeypatch.setattr(lexicon, "build_from_subsets", refuse)
+        with pytest.raises(LexiconFormatError) as err:
+            load(io.StringIO(self.document(kind, 100_000)))
+        assert calls == []
+        assert str(err.value) == (
+            "$.words.w: a 100000x100000 operator takes 80000000000 bytes,"
+            " over the limit of 1073741824"
+        )
+
+    @pytest.mark.parametrize("kind", ["pure", "subsets"])
+    def test_limit_is_inclusive(self, kind, monkeypatch):
+        monkeypatch.setattr(lexicon, "_MAX_OPERATOR_BYTES", 8 * 3 * 3)
+        assert load(io.StringIO(self.document(kind, 3))).word("w").dm.dim == 3
+        monkeypatch.setattr(lexicon, "_MAX_OPERATOR_BYTES", 8 * 3 * 3 - 1)
+        with pytest.raises(LexiconFormatError, match="over the limit of 71$"):
+            load(io.StringIO(self.document(kind, 3)))

@@ -9,10 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from densem.errors import NumericFailure, ShapeError
+from densem.errors import DensemError, NumericFailure, ShapeError
+from densem.lexicon import SubsetRecord, build_from_subsets
 from densem.spectral import (
     DEFAULT_TOL,
+    SYMMETRY_TOL,
+    EigenSystem,
     Tolerance,
+    _eigh_stack,
     eigh,
     symmetrize,
 )
@@ -144,6 +148,114 @@ class TestEigh:
         a = np.array([[13.0, 7.0], [7.0, 7.0]])
         eigh(a)
         np.testing.assert_array_equal(a, [[13.0, 7.0], [7.0, 7.0]])
+
+
+def reference_eigh(a):
+    """LAPACK on one matrix, then the documented order in plain Python.
+
+    Values descend; each vector is negated when its first component above
+    1e-12 in magnitude is negative; exact ties put the lexicographically
+    largest vector first.  Returns the values, the vectors as columns and
+    the number of vectors that needed the sign flip.
+    """
+    w, v = np.linalg.eigh(a)
+    pairs, flips = [], 0
+    for j in range(len(w)):
+        vec = v[:, j].tolist()
+        if next(x for x in vec if abs(x) > 1e-12) < 0.0:
+            vec, flips = [-x for x in vec], flips + 1
+        pairs.append((w[j], vec))
+    pairs.sort(key=lambda p: (-p[0], [-x for x in p[1]]))
+    values = np.array([p[0] for p in pairs])
+    vectors = np.array([p[1] for p in pairs]).T
+    return values, vectors, flips
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestEighStack:
+    """The stacked kernel against ``reference_eigh``, matrix by matrix."""
+
+    def stack(self):
+        labels = ("a", "b", "c")
+        words = [
+            [SubsetRecord("w", {"a", "b"}, 2.0)],
+            [SubsetRecord("w", {"a"}, 1.0), SubsetRecord("w", {"b", "c"}, 3.0)],
+            [SubsetRecord("w", {"c"}, 5.0), SubsetRecord("w", {"c"}, 1.0)],
+        ]
+        rng = np.random.default_rng(29)
+        return np.stack(
+            [
+                np.diag([1.0, 1.0, 0.0]),
+                np.zeros((3, 3)),
+                np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]),
+                *(build_from_subsets(r, labels).matrix for r in words),
+                random_symmetric(rng, 3),
+                random_symmetric(rng, 3),
+            ]
+        )
+
+    def assert_matches_reference(self, a, results):
+        flips = 0
+        for m, es in zip(a, results):
+            values, vectors, flipped = reference_eigh(m)
+            flips += flipped
+            assert isinstance(es, EigenSystem)
+            assert np.array_equal(bits(es.values), bits(values))
+            assert np.array_equal(bits(es.vectors), bits(vectors))
+            assert es.vectors.flags.f_contiguous
+        return flips
+
+    def test_matches_reference_bitwise(self):
+        a = self.stack()
+        sym, results = _eigh_stack(a)
+        assert np.array_equal(bits(sym), bits(a))
+        assert self.assert_matches_reference(a, results) > 0
+        # The stack mixes exact ties with tie-free matrices.
+        tied = [bool((es.values[:-1] == es.values[1:]).any()) for es in results]
+        assert any(tied) and not all(tied)
+
+    def test_one_by_one(self):
+        a = np.array([[[5.0]], [[0.0]], [[-2.0]]])
+        self.assert_matches_reference(a, _eigh_stack(a)[1])
+
+    def test_eigh_is_the_one_matrix_case(self):
+        for m in self.stack():
+            es = eigh(m)
+            values, vectors, _ = reference_eigh(m)
+            assert np.array_equal(bits(es.values), bits(values))
+            assert np.array_equal(bits(es.vectors), bits(vectors))
+            assert es.vectors.flags.f_contiguous
+
+    def test_each_refused_matrix_gets_its_own_verdict(self):
+        good = self.stack()
+        nan = np.diag([1.0, math.nan, 0.0])
+        skew = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        overflow = np.diag([1e308, 1.0, 1.0])
+        a = np.stack([*good[:3], nan, *good[3:5], skew, overflow, *good[5:]])
+        with np.errstate(over="ignore"):
+            _, results = _eigh_stack(a)
+        refused = {3: nan, 6: skew, 7: overflow}
+        for i, m in refused.items():
+            assert isinstance(results[i], DensemError)
+            with pytest.raises(type(results[i])) as err, np.errstate(over="ignore"):
+                eigh(m)
+            assert str(results[i]) == str(err.value)
+        assert str(results[3]) == "3x3 matrix has non-finite entries"
+        assert str(results[6]) == "matrix is not symmetric: max |a - aT| = 5.000e-01"
+        assert str(results[7]) == "3x3 matrix has non-finite entries"
+        kept = [i for i in range(len(a)) if i not in refused]
+        self.assert_matches_reference(a[kept], [results[i] for i in kept])
+
+    def test_roundoff_asymmetry_is_averaged(self):
+        a = np.array([[[1.0, 0.5 + 1e-15], [0.5, 1.0]], [[2.0, 0.0], [0.0, 1.0]]])
+        sym, results = _eigh_stack(a)
+        assert sym[0, 0, 1] == sym[0, 1, 0] == (a[0, 0, 1] + a[0, 1, 0]) / 2
+        assert all(isinstance(es, EigenSystem) for es in results)
+        with pytest.raises(ShapeError):
+            eigh(a[0] + [[0.0, 2 * SYMMETRY_TOL], [0.0, 0.0]])
 
 
 class TestTolerance:
