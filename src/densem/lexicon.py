@@ -12,11 +12,11 @@ with 17 significant digits so double-precision values round-trip exactly.
 ``save`` writes compact one-line JSON, one entry at a time, and formats
 each distinct number once: a word operator is stored bitwise symmetric, so
 only its upper triangle is formatted.  ``load`` reads any JSON layout of
-the same document, indented files included.  It checks a number matrix a
-block of rows per regex pass and converts it in one call, and
-eigen-checks the ``matrix`` words once all are parsed: every matrix of one
-dimension in one LAPACK call, reporting the first refused word in document
-order.
+the same document, indented files included.  It checks and converts each
+distinct string of a number matrix once, up to 256 strings per regex
+pass, and eigen-checks the ``matrix`` words once all are parsed: every
+matrix of one dimension in one LAPACK call, reporting the first refused
+word in document order.
 """
 
 from __future__ import annotations
@@ -344,56 +344,60 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _decimals(joined: str, count: int) -> bool:
-    """Whether ``joined`` is ``count`` number strings joined by commas,
-    checked in one regex pass."""
-    return joined.count(",") == count - 1 and _DECIMALS.fullmatch(joined) is not None
+# Python's ``re`` keeps about half a kilobyte for each number that the
+# repeated group of ``_DECIMALS`` matches, so at most this many numbers are
+# matched per pass.
+_BLOCK = 256
+
+
+def _decimals(strings: list) -> bool:
+    """Whether every entry of ``strings`` is a number string, checked
+    ``_BLOCK`` entries per regex pass; a non-string raises TypeError."""
+    for i in range(0, len(strings), _BLOCK):
+        block = strings[i : i + _BLOCK]
+        joined = ",".join(block)
+        if joined.count(",") != len(block) - 1 or not _DECIMALS.fullmatch(joined):
+            return False
+    return True
 
 
 def _numbers(value, path: str) -> list[float]:
-    """A non-empty array of number strings, checked in one regex pass.
+    """A non-empty array of number strings, checked by joined regex passes.
 
     An array that fails the joined check goes through ``_number`` entry by
     entry, so the error names the first bad entry's path.
     """
     if isinstance(value, list) and value:
         try:
-            if _decimals(",".join(value), len(value)):
+            if _decimals(value):
                 return list(map(float, value))
         except TypeError:
             pass
     return _array(value, path, _number)
 
 
-# Python's ``re`` keeps about half a kilobyte for each number that the
-# repeated group of ``_DECIMALS`` matches, so a matrix is matched in blocks
-# of whole rows holding about this many numbers.
-_BLOCK = 256
-
-
 def _rows(value, path: str) -> np.ndarray:
     """A non-empty array of equally long number arrays as an ``(r, c)`` float array.
 
-    A rectangle of strings is checked one block of rows per regex pass, a
-    16 x 16 matrix in one, and converted in one call.  Any other array goes
-    through ``_numbers`` row by row, so the error names the first bad
-    entry's path, or ``path`` when the rows differ in length.
+    A rectangle of strings is checked and converted once per distinct
+    string: a stored word operator repeats each off-diagonal string, and
+    operators built from counts repeat far more, so a 16 x 16 word is one
+    regex pass over a few dozen strings.  Any other array goes through
+    ``_numbers`` row by row, so the error names the first bad entry's path,
+    or ``path`` when the rows differ in length.
     """
     if isinstance(value, list) and value and all(type(row) is list for row in value):
         width = len(value[0])
-        step = max(1, _BLOCK // max(width, 1))
-        blocks = (value[i : i + step] for i in range(0, len(value), step))
-        try:
-            rectangle = (
-                width
-                and all(len(row) == width for row in value)
-                and all(_decimals(",".join(map(",".join, b)), len(b) * width) for b in blocks)
-            )
-        except TypeError:
-            rectangle = False
-        if rectangle:
-            numbers = map(float, chain.from_iterable(value))
-            return np.fromiter(numbers, float, len(value) * width).reshape(len(value), width)
+        if width and all(len(row) == width for row in value):
+            try:
+                distinct = list(dict.fromkeys(chain.from_iterable(value)))
+                checked = _decimals(distinct)
+            except TypeError:
+                checked = False
+            if checked:
+                floats = dict(zip(distinct, map(float, distinct)))
+                numbers = map(floats.__getitem__, chain.from_iterable(value))
+                return np.fromiter(numbers, float, len(value) * width).reshape(len(value), width)
     rows = _array(value, path, _numbers)
     if any(len(row) != len(rows[0]) for row in rows):
         raise LexiconFormatError("rows have inconsistent lengths", path)
@@ -503,7 +507,10 @@ def load(source: str | Path | IO[str]) -> Lexicon:
     # order is reported.
     for group in matrices.values():
         indices, stack = zip(*group)
-        for i, dm in zip(indices, DensityMatrix._stack(np.stack(stack))):
+        # Each word's own array is freed once stacked.
+        group.clear()
+        stack = np.stack(stack)
+        for i, dm in zip(indices, DensityMatrix._stack(stack)):
             entries[i][3] = dm
     lex = Lexicon(registry)
     for name, ptype, dims, dm in entries:

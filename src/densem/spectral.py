@@ -124,12 +124,11 @@ def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, list]:
         # arithmetic below sees it; its scale keeps it refused.
         a = np.where(np.isfinite(scales)[:, None, None], a, 0.0)
     at = a.transpose(0, 2, 1)
-    diff = a - at
     sym = a + at
     sym *= 0.5
     verdicts = [None] * k
-    if huge or diff.any():
-        skews = abs(diff).max(axis=(1, 2)).tolist()
+    if huge or (a != at).any():
+        skews = abs(a - at).max(axis=(1, 2)).tolist()
         verdicts = [_refusal(n, scale, skew) for scale, skew in zip(scales, skews)]
         if huge:
             # Where a + aT overflowed, the symmetrized matrix is non-finite.
@@ -144,9 +143,12 @@ def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, list]:
         failure = NumericFailure(f"eigensolver failed for a {n}x{n} matrix: {err}")
         return sym, [verdict or failure for verdict in verdicts]
     # LAPACK returns ascending values, so reversed they descend.  Each
-    # eigenvector is kept as a row of ``rows`` until the end.
+    # eigenvector is kept as a row of ``rows`` until the end.  ``load``
+    # decomposes every word of one dimension at once, so each temporary
+    # stack is freed as soon as it is used.
     values = values[:, ::-1].copy()
     rows = vectors.transpose(0, 2, 1)[:, ::-1].copy()
+    del vectors
     flat = rows.reshape(k * n, n)
     lead = (abs(flat) > 1e-12).argmax(axis=1)
     # The lead component of a unit vector is non-zero, so its sign is +-1.
@@ -157,6 +159,7 @@ def _eigh_stack(a: np.ndarray) -> tuple[np.ndarray, list]:
         # first.  A matrix with no tie keeps its order.
         keys = np.concatenate((rows.transpose(2, 0, 1)[::-1], values[None]))
         order = np.lexsort(np.negative(keys, out=keys))
+        del keys
         stack = np.arange(k)[:, None]
         values, rows = values[stack, order], rows[stack, order]
     # Each system's vectors are then column-major.

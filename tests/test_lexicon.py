@@ -777,6 +777,32 @@ class TestNumberArrays:
         assert first.tolist() == [float(x) for x in forms]
         assert np.signbit(first[0])
 
+    def test_arrays_longer_than_one_regex_pass(self):
+        # 400 distinct strings in the table and a 300-entry vector: both are
+        # checked in several passes, and the later passes still name a bad entry.
+        dim = 300
+        rows = [[f"{i}.{j}" for j in range(20)] for i in range(20)]
+        vector = [f"{i}e-3" for i in range(dim)]
+        document = {
+            "spaces": {
+                "n": {"dim": 20, "labels": [f"f{i}" for i in range(20)]},
+                "m": {"dim": dim, "labels": [f"g{i}" for i in range(dim)]},
+            },
+            "words": {"w": {"type": "m", "kind": "pure", "data": {"vector": vector}}},
+            "verbs": {"v": {"subject_space": "n", "object_space": "n", "rows": rows}},
+        }
+        lex = load(io.StringIO(json.dumps(document)))
+        assert lex.verb_table("v").table.tolist() == [[float(x) for x in row] for row in rows]
+        expected = pure(np.array([float(x) for x in vector])).matrix
+        assert np.array_equal(lex.word("w").dm.matrix, expected)
+        rows[17][3] = "+1"
+        with pytest.raises(LexiconFormatError, match=r"^\$\.verbs\.v\.rows\[17\]\[3\]: "):
+            load(io.StringIO(json.dumps(document)))
+        rows[17][3] = "1"
+        vector[290] = "1e"
+        with pytest.raises(LexiconFormatError, match=r"^\$\.words\.w\.data\.vector\[290\]: "):
+            load(io.StringIO(json.dumps(document)))
+
 
 def _matrix_document(words, verbs=None):
     """A document of ``matrix`` words, each ``(name, type, rows)``, over the
